@@ -52,8 +52,8 @@
 #                                    one payload byte and assert the daemon
 #                                    rejects the stream with a checksum
 #                                    error (nonzero exit)
-#  11. clr-serve stats smoke       — splice a CLRWIRE1 stats-query frame
-#                                    into the step-10 request stream, run
+#  11. clr-serve stats smoke       — append a CLRWIRE1 stats-query frame
+#                                    to the step-10 requests, run
 #                                    the daemon at CLR_THREADS=1 and 8 and
 #                                    byte-compare the schema-2 fleet
 #                                    snapshots; the snapshot must pass the
@@ -109,6 +109,10 @@
 #                                    annotation hygiene; any deny finding
 #                                    fails the gate, and the JSON report is
 #                                    left in target/ next to the journals
+#  16. perfbench build             — build the benchmark (its own cargo
+#                                    workspace under perfbench/), so a
+#                                    serve API change that breaks it
+#                                    fails here, not in a benchmark run
 #
 # Any failure aborts the script (set -e); clr-verify exits nonzero on
 # deny-level findings, so a model regression fails CI like a test would.
@@ -240,13 +244,14 @@ grep -qi "checksum" "$SERVED_LOG" \
 
 step "clr-serve stats (live Stats frame, thread-count byte-compare + CLR06x lints)"
 STATS_REQ=target/ci-stats-request.bin
+STATS_FRAMES=target/ci-stats-frames.bin
 STATS_STREAM=target/ci-stats-stream.bin
 "$SERVE" stats --request-out "$STATS_REQ" --flight true --seq 90001 2>/dev/null
-# The step-10 stream ends with a header-only shutdown frame (32 bytes);
-# splice the stats query just before it so the daemon answers, then drains.
-head -c -32 "$FRAMES" > "$STATS_STREAM"
-cat "$STATS_REQ" >> "$STATS_STREAM"
-tail -c 32 "$FRAMES" >> "$STATS_STREAM"
+# The step-10 requests without their shutdown frame, then the stats
+# query: the daemon answers it after every request, then drains at
+# end-of-stream.
+"$SERVE" wire-encode --trace "$TRACE" --out "$STATS_FRAMES" --shutdown false
+cat "$STATS_FRAMES" "$STATS_REQ" > "$STATS_STREAM"
 STATS_T1=target/ci-stats-resp-t1.bin
 STATS_T8=target/ci-stats-resp-t8.bin
 CLR_THREADS=1 "$SERVED" "${FLEET[@]}" --batch 64 \
@@ -446,5 +451,8 @@ AUDIT=target/release/clr-audit
 AUDIT_REPORT=target/ci-audit.json
 "$AUDIT" --json > "$AUDIT_REPORT" \
   || { cat "$AUDIT_REPORT"; echo "clr-audit found deny-level source findings"; exit 1; }
+
+step "perfbench build (the benchmark compiles against the current API)"
+cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
 
 printf '\nci.sh: all gates passed.\n'

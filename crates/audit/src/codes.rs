@@ -67,7 +67,7 @@ pub enum AuditCode {
     /// must round-trip byte-for-byte; a silent truncation corrupts the
     /// artifact without an error.
     LossyCastInCodec,
-    /// CLR107: a call to a deprecated workspace API
+    /// CLR107: a call to a deprecated or removed workspace API
     /// (`DesignPointDb::point` — use the total `get`).
     DeprecatedApi,
     /// CLR108: a `clr-audit: allow(...)` annotation that suppresses

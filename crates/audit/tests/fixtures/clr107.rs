@@ -1,5 +1,5 @@
-// Seeded violation: a call to the deprecated RuntimePolicy shim that
-// predates the DecisionInput redesign.
+// Seeded violation: a call to the RuntimePolicy shim that predated the
+// DecisionInput redesign; it no longer exists outside this fixture.
 pub fn legacy_decide(
     policy: &mut dyn clr_runtime::RuntimePolicy,
     ctx: &clr_runtime::RuntimeContext<'_>,

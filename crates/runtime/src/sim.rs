@@ -91,56 +91,7 @@ pub trait RuntimePolicy: Send {
     /// Notified at each episode boundary (a fixed number of application
     /// cycles; paper: "typically a thousand application execution cycles").
     fn end_episode(&mut self) {}
-
-    /// Deprecated pre-[`DecisionInput`] entry point, kept as a shim for
-    /// one release: computes the feasible set internally and delegates to
-    /// [`decide`](Self::decide).
-    #[deprecated(since = "0.11.0", note = "use decide(&DecisionInput) instead")]
-    fn decide_scored(
-        &mut self,
-        ctx: &RuntimeContext<'_>,
-        current: usize,
-        spec: &QosSpec,
-    ) -> (Option<usize>, Option<f64>, Option<f64>) {
-        let feasible = ctx.feasible(spec);
-        let out = self.decide(&DecisionInput {
-            ctx,
-            current,
-            spec,
-            feasible: &feasible,
-        });
-        (out.choice, out.score, out.p_rc)
-    }
-
-    /// Deprecated pre-[`DecisionInput`] entry point with a caller-computed
-    /// feasible set, kept as a shim for one release: delegates to
-    /// [`decide`](Self::decide).
-    #[deprecated(since = "0.11.0", note = "use decide(&DecisionInput) instead")]
-    fn decide_scored_from(
-        &mut self,
-        ctx: &RuntimeContext<'_>,
-        current: usize,
-        spec: &QosSpec,
-        feasible: &[usize],
-    ) -> (Option<usize>, Option<f64>, Option<f64>) {
-        let out = self.decide(&DecisionInput {
-            ctx,
-            current,
-            spec,
-            feasible,
-        });
-        (out.choice, out.score, out.p_rc)
-    }
 }
-
-/// Deprecated former name of [`RuntimePolicy`], kept as a shim for one
-/// release. Every `RuntimePolicy` implements it, so existing bounds and
-/// `Box<dyn AdaptationPolicy>` trait objects keep compiling.
-#[deprecated(since = "0.11.0", note = "renamed to RuntimePolicy")]
-pub trait AdaptationPolicy: RuntimePolicy {}
-
-#[allow(deprecated)]
-impl<T: RuntimePolicy + ?Sized> AdaptationPolicy for T {}
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -348,7 +299,7 @@ pub fn simulate_obs<P: RuntimePolicy + ?Sized>(
     let mut ring: VecDeque<TraceRecord> = VecDeque::new();
     let mut energy_time_integral = 0.0f64;
     // One feasibility query per event, reusing a single buffer for the
-    // whole run (`feasible_into` + `decide_scored_from`).
+    // whole run (`feasible_into`, then `decide` over the buffer).
     let mut feas_buf: Vec<usize> = Vec::new();
 
     loop {

@@ -17,14 +17,15 @@
 //! it must serve and flush them — the bounded queue. Backpressure is the
 //! transport's: while the daemon serves a batch it does not read, so a
 //! pipe or socket buffer fills and the client blocks. A batch closes
-//! early on end-of-stream, an explicit [`Frame::Shutdown`], or a
-//! [`Frame::Stats`] query — pending requests are served before the
-//! query is answered, so the snapshot is a pure function of the stream
-//! prefix before it (byte-identical at any `CLR_THREADS`). Shutdown and
+//! early on end-of-stream, an explicit [`Frame::Shutdown`], or any
+//! other non-request frame — a control frame (`Stats`, `SwapDb`,
+//! `Promote`) is answered only after the pending requests are served,
+//! so its answer is a pure function of the stream prefix before it
+//! (byte-identical at any `CLR_THREADS`; DESIGN.md §13). Shutdown and
 //! end-of-stream drain gracefully (every admitted request is served and
-//! flushed before the loop exits). Interactive closed-loop clients whose request window is
-//! smaller than `batch` should run `--batch 1`, otherwise admission
-//! waits for frames the client will never send.
+//! flushed before the loop exits). Interactive closed-loop clients
+//! whose request window is smaller than `batch` should run `--batch 1`,
+//! otherwise admission waits for frames the client will never send.
 //!
 //! ## Error policy
 //!
@@ -114,14 +115,14 @@ impl From<ReplayError> for DaemonError {
 
 /// What one [`serve_stream`] run did, with the drained per-tenant
 /// outcomes (fleet order — the same shape batch replay reports).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DaemonReport {
     /// Requests served with a response frame (quarantined decisions
     /// included: recording is serving).
     pub served: usize,
-    /// Requests answered with an error frame (unknown tenant) plus
-    /// protocol-violating frames (a client sending response/error
-    /// kinds).
+    /// Frames answered with an error frame: unknown tenants, refused
+    /// stats queries and protocol-violating frames (a client sending
+    /// response/error kinds).
     pub rejected: usize,
     /// Serve/flush cycles executed.
     pub batches: usize,
@@ -146,6 +147,19 @@ pub struct DaemonReport {
     /// offending name (sorted by name — same shape batch replay's
     /// `dropped_by_tenant` reports).
     pub dropped_by_tenant: Vec<(String, u64)>,
+}
+
+impl DaemonReport {
+    /// Counts one answer frame written to the peer.
+    fn tally(&mut self, answer: &Frame) {
+        match answer {
+            Frame::Response(_) => self.served += 1,
+            Frame::StatsResponse(_) => self.stats += 1,
+            Frame::SwapDbResponse(_) => self.swaps += 1,
+            Frame::PromoteResponse(_) => self.promotes += 1,
+            _ => self.rejected += 1,
+        }
+    }
 }
 
 /// One shard: the sessions of every tenant with `idx % shards == s`.
@@ -310,44 +324,14 @@ impl<'a> Daemon<'a> {
         include_flight: bool,
         tenant: Option<&str>,
     ) -> TelemetrySnapshot {
-        let mut states: Vec<(String, u64, HealthState, Vec<DecisionRecord>)> =
-            Vec::with_capacity(self.tenant_count);
-        for idx in 0..self.tenant_count {
-            let (shard, slot) = self.locate[idx];
-            let shard = self.shards[shard]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let session = &shard.sessions[slot];
-            if tenant.is_some_and(|t| t != session.tenant().name()) {
-                continue;
-            }
-            let generation = session.generation();
-            let health = session.health().clone();
-            // Only the flight tail leaves the lock: the last K served
-            // decisions, cloned oldest → newest, and only when the
-            // snapshot will actually render them.
-            let tail: Vec<DecisionRecord> = if include_flight || health.quarantine_entries > 0 {
-                let mut tail: Vec<DecisionRecord> = session
-                    .outcome()
-                    .decisions
-                    .iter()
-                    .rev()
-                    .filter(|d| d.status.is_served())
-                    .take(FLIGHT_RECORDER_LEN)
-                    .cloned()
-                    .collect();
-                tail.reverse();
-                tail
-            } else {
-                Vec::new()
-            };
-            states.push((
-                session.tenant().name().to_string(),
-                generation,
-                health,
-                tail,
-            ));
-        }
+        let indices = match tenant.map(|name| self.by_name.get(name)) {
+            None => 0..self.tenant_count,
+            Some(Some(&idx)) => idx..idx + 1,
+            Some(None) => 0..0,
+        };
+        let states: Vec<(String, u64, HealthState, Vec<DecisionRecord>)> = indices
+            .map(|idx| self.with_index(idx, |session| telemetry_state(session, include_flight)))
+            .collect();
         fleet_snapshot(
             label,
             states
@@ -358,27 +342,65 @@ impl<'a> Daemon<'a> {
         )
     }
 
+    /// Runs `f` on session `idx` (fleet order) under its shard lock.
+    fn with_index<R>(&self, idx: usize, f: impl FnOnce(&mut TenantSession<'a>) -> R) -> R {
+        let (shard, slot) = self.locate[idx];
+        let mut shard = self.shards[shard]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        f(&mut shard.sessions[slot])
+    }
+
+    /// Runs `f` on the named tenant's session under its shard lock;
+    /// `None` when no tenant has that name.
+    fn with_session<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut TenantSession<'a>) -> R,
+    ) -> Option<R> {
+        let &idx = self.by_name.get(name)?;
+        Some(self.with_index(idx, f))
+    }
+
+    /// Answers one control frame. Called between batches (never
+    /// concurrently with [`Daemon::handle_batch`] on the same stream), so
+    /// the answer is a pure function of the stream prefix before the
+    /// frame and byte-identical at any `CLR_THREADS`. A frame a client
+    /// must not send (a response or error kind) is answered with an
+    /// error frame.
+    fn control_response(&self, control: &Frame) -> Frame {
+        match control {
+            Frame::Stats(query) => self.stats_response(query),
+            Frame::SwapDb(request) => self.swap_response(request),
+            Frame::Promote(request) => self.promote_response(request),
+            other => Frame::Error(ErrorFrame {
+                seq: 0,
+                message: format!("unexpected frame kind {}", other.kind()),
+            }),
+        }
+    }
+
     /// Answers one stats query: a [`Frame::StatsResponse`] carrying the
     /// snapshot JSON, or a [`Frame::Error`] echoing the query's `seq`
     /// when the query speaks a different stats version, names a tenant
     /// outside the fleet, or the fleet snapshot would overflow the wire
     /// payload cap.
     pub fn stats_response(&self, query: &StatsRequest) -> Frame {
-        if query.version != STATS_VERSION {
-            return Frame::Error(ErrorFrame {
+        let error = |message: String| {
+            Frame::Error(ErrorFrame {
                 seq: query.seq,
-                message: format!(
-                    "unsupported stats version {} (daemon speaks {STATS_VERSION})",
-                    query.version
-                ),
-            });
+                message,
+            })
+        };
+        if query.version != STATS_VERSION {
+            return error(format!(
+                "unsupported stats version {} (daemon speaks {STATS_VERSION})",
+                query.version
+            ));
         }
-        if let Some(name) = &query.tenant {
-            if !self.by_name.contains_key(name.as_str()) {
-                return Frame::Error(ErrorFrame {
-                    seq: query.seq,
-                    message: format!("unknown tenant {name:?}"),
-                });
+        if let Some(name) = query.tenant.as_deref() {
+            if !self.by_name.contains_key(name) {
+                return error(format!("unknown tenant {name:?}"));
             }
         }
         let snapshot = self
@@ -386,14 +408,11 @@ impl<'a> Daemon<'a> {
             .to_json();
         // seq u64 + u32 text length precede the snapshot in the payload.
         if snapshot.len() + 12 > MAX_PAYLOAD_LEN {
-            return Frame::Error(ErrorFrame {
-                seq: query.seq,
-                message: format!(
-                    "fleet snapshot is {} bytes, over the {MAX_PAYLOAD_LEN}-byte frame cap; \
-                     narrow the query with a tenant filter",
-                    snapshot.len()
-                ),
-            });
+            return error(format!(
+                "fleet snapshot is {} bytes, over the {MAX_PAYLOAD_LEN}-byte frame cap; \
+                 narrow the query with a tenant filter",
+                snapshot.len()
+            ));
         }
         Frame::StatsResponse(StatsResponse {
             seq: query.seq,
@@ -406,40 +425,28 @@ impl<'a> Daemon<'a> {
     /// ended and whose `generation` is the tenant's active generation
     /// *after* the attempt.
     ///
-    /// Called between batches, like [`Daemon::stats_response`] — the
-    /// admission loop closes the batch on a `SwapDb` frame, so the swap
-    /// is a pure function of the stream prefix before it and the
-    /// served output stays byte-identical at any `CLR_THREADS`. The
-    /// frame carries the artifact *path* (containers outgrow the wire
-    /// payload cap); an unreadable file is `io-error`, a corrupt or
+    /// The frame carries the artifact *path* (containers outgrow the
+    /// wire payload cap); an unreadable file is `io-error`, a corrupt or
     /// lineage-invalid container is `verify-failed`, and both leave the
     /// running database serving as the last-known-good.
     pub fn swap_response(&self, request: &SwapDbRequest) -> Frame {
-        let Some(&idx) = self.by_name.get(request.tenant.as_str()) else {
-            return Frame::SwapDbResponse(SwapDbResponse {
-                seq: request.seq,
-                tenant: request.tenant.clone(),
-                status: SwapStatus::UnknownTenant,
-                generation: 0,
-            });
-        };
-        let (shard, slot) = self.locate[idx];
-        let mut shard = self.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let session = &mut shard.sessions[slot];
-        let record = match std::fs::read(&request.path) {
-            Err(_) => session.note_swap_failure(SwapStatus::IoError),
-            Ok(bytes) => match LineageSnapshot::from_bytes(&bytes) {
-                Err(_) => session.note_swap_failure(SwapStatus::VerifyFailed),
-                Ok(snapshot) => session.swap_db(&snapshot, request.expected_generation),
-            },
-        };
+        let (status, generation) = self
+            .with_session(&request.tenant, |session| {
+                let record = match std::fs::read(&request.path) {
+                    Err(_) => session.note_swap_failure(SwapStatus::IoError),
+                    Ok(bytes) => match LineageSnapshot::from_bytes(&bytes) {
+                        Err(_) => session.note_swap_failure(SwapStatus::VerifyFailed),
+                        Ok(snapshot) => session.swap_db(&snapshot, request.expected_generation),
+                    },
+                };
+                (record.status, session.generation())
+            })
+            .unwrap_or((SwapStatus::UnknownTenant, 0));
         Frame::SwapDbResponse(SwapDbResponse {
             seq: request.seq,
             tenant: request.tenant.clone(),
-            status: record.status,
-            generation: session.generation(),
+            status,
+            generation,
         })
     }
 
@@ -447,31 +454,18 @@ impl<'a> Daemon<'a> {
     /// [`Frame::PromoteResponse`] whose status says whether the
     /// candidate table shipped and whose `promotions` is the tenant's
     /// running promotion count after the attempt.
-    ///
-    /// Called between batches, like [`Daemon::swap_response`] — the
-    /// admission loop closes the batch on a `Promote` frame, so the
-    /// promotion lands after every already-admitted request whatever
-    /// the thread count, and the served output stays byte-identical at
-    /// any `CLR_THREADS`.
     pub fn promote_response(&self, request: &PromoteRequest) -> Frame {
-        let Some(&idx) = self.by_name.get(request.tenant.as_str()) else {
-            return Frame::PromoteResponse(PromoteResponse {
-                seq: request.seq,
-                tenant: request.tenant.clone(),
-                status: PromoteStatus::UnknownTenant,
-                promotions: 0,
-            });
-        };
-        let (shard, slot) = self.locate[idx];
-        let mut shard = self.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let record = shard.sessions[slot].promote();
+        let (status, promotions) = self
+            .with_session(&request.tenant, |session| {
+                let record = session.promote();
+                (record.status, record.promotions)
+            })
+            .unwrap_or((PromoteStatus::UnknownTenant, 0));
         Frame::PromoteResponse(PromoteResponse {
             seq: request.seq,
             tenant: request.tenant.clone(),
-            status: record.status,
-            promotions: record.promotions,
+            status,
+            promotions,
         })
     }
 
@@ -483,39 +477,31 @@ impl<'a> Daemon<'a> {
     pub fn restore_learners(&self, dir: &std::path::Path) -> Vec<String> {
         let mut notes = Vec::new();
         for idx in 0..self.tenant_count {
-            let (shard, slot) = self.locate[idx];
-            let mut shard = self.shards[shard]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let session = &mut shard.sessions[slot];
-            if session.learner().is_none() {
-                continue;
-            }
-            let name = session.tenant().name().to_string();
-            let path = dir.join(format!("{name}.learn"));
-            match std::fs::read(&path) {
-                Err(_) => notes.push(format!(
-                    "learn: {name}: no checkpoint at {} (cold start)",
-                    path.display()
-                )),
-                Ok(bytes) => match LearnerState::from_bytes(&bytes) {
-                    Err(e) => notes.push(format!(
-                        "learn: {name}: checkpoint rejected: {e} (cold start)"
-                    )),
-                    Ok(state) => {
+            notes.extend(self.with_index(idx, |session| {
+                session.learner()?;
+                let name = session.tenant().name().to_string();
+                let path = dir.join(format!("{name}.learn"));
+                let restored = std::fs::read(&path)
+                    .map_err(|_| format!("no checkpoint at {}", path.display()))
+                    .and_then(|bytes| {
+                        LearnerState::from_bytes(&bytes)
+                            .map_err(|e| format!("checkpoint rejected: {e}"))
+                    })
+                    .and_then(|state| {
                         let decisions = state.decisions();
-                        match session.restore_learner(state) {
-                            Ok(()) => notes.push(format!(
-                                "learn: {name}: restored {} ({decisions} decisions)",
-                                path.display()
-                            )),
-                            Err(e) => notes.push(format!(
-                                "learn: {name}: checkpoint refused: {e} (cold start)"
-                            )),
-                        }
-                    }
-                },
-            }
+                        session
+                            .restore_learner(state)
+                            .map(|()| decisions)
+                            .map_err(|e| format!("checkpoint refused: {e}"))
+                    });
+                Some(match restored {
+                    Ok(decisions) => format!(
+                        "learn: {name}: restored {} ({decisions} decisions)",
+                        path.display()
+                    ),
+                    Err(why) => format!("learn: {name}: {why} (cold start)"),
+                })
+            }));
         }
         notes
     }
@@ -533,23 +519,23 @@ impl<'a> Daemon<'a> {
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let mut notes = Vec::new();
         for idx in 0..self.tenant_count {
-            let (shard, slot) = self.locate[idx];
-            let shard = self.shards[shard]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let session = &shard.sessions[slot];
-            let Some(learner) = session.learner() else {
-                continue;
-            };
-            let path = dir.join(format!("{}.learn", session.tenant().name()));
-            std::fs::write(&path, learner.to_bytes())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            notes.push(format!(
-                "learn: wrote {} ({} decisions, {} promotions)",
-                path.display(),
-                learner.decisions(),
-                learner.promotions()
-            ));
+            let note = self.with_index(idx, |session| {
+                let learner = session.learner()?;
+                let path = dir.join(format!("{}.learn", session.tenant().name()));
+                Some(
+                    std::fs::write(&path, learner.to_bytes())
+                        .map(|()| {
+                            format!(
+                                "learn: wrote {} ({} decisions, {} promotions)",
+                                path.display(),
+                                learner.decisions(),
+                                learner.promotions()
+                            )
+                        })
+                        .map_err(|e| format!("cannot write {}: {e}", path.display())),
+                )
+            });
+            notes.extend(note.transpose()?);
         }
         Ok(notes)
     }
@@ -572,6 +558,35 @@ impl<'a> Daemon<'a> {
     }
 }
 
+/// One tenant's telemetry row: name, generation, health and — only
+/// when the snapshot will render it — the flight tail, the last K
+/// served decisions oldest → newest.
+fn telemetry_state(
+    session: &TenantSession<'_>,
+    include_flight: bool,
+) -> (String, u64, HealthState, Vec<DecisionRecord>) {
+    let health = session.health().clone();
+    let mut tail: Vec<DecisionRecord> = Vec::new();
+    if include_flight || health.quarantine_entries > 0 {
+        tail = session
+            .outcome()
+            .decisions
+            .iter()
+            .rev()
+            .filter(|d| d.status.is_served())
+            .take(FLIGHT_RECORDER_LEN)
+            .cloned()
+            .collect();
+        tail.reverse();
+    }
+    (
+        session.tenant().name().to_string(),
+        session.generation(),
+        health,
+        tail,
+    )
+}
+
 /// Runs the daemon loop over a framed transport: read up to
 /// `config.batch` request frames, serve them, write and flush the
 /// responses, repeat until end-of-stream or a shutdown frame. See the
@@ -591,57 +606,19 @@ pub fn serve_stream(
 ) -> Result<DaemonReport, DaemonError> {
     let daemon = Daemon::new(tenants, config)?;
     let cap = config.batch.max(1);
-    let mut report = DaemonReport {
-        served: 0,
-        rejected: 0,
-        batches: 0,
-        stats: 0,
-        swaps: 0,
-        promotes: 0,
-        clean_shutdown: false,
-        outcomes: Vec::new(),
-        dropped_by_tenant: Vec::new(),
-        learn_notes: Vec::new(),
-    };
+    let mut report = DaemonReport::default();
     if let Some(dir) = &config.learn_dir {
         report.learn_notes = daemon.restore_learners(dir);
-    }
-    /// A control frame that closes the admission batch early so it is
-    /// handled as a pure function of the stream prefix before it.
-    enum Control {
-        Stats(StatsRequest),
-        Swap(SwapDbRequest),
-        Promote(PromoteRequest),
     }
     let mut open = true;
     while open {
         let mut batch: Vec<Request> = Vec::with_capacity(cap);
-        let mut control: Option<Control> = None;
+        let mut control: Option<Frame> = None;
         while batch.len() < cap {
             match Frame::read_from(input) {
+                Ok(Some(Frame::Request(request))) => batch.push(request),
                 Ok(None) => {
                     open = false;
-                    break;
-                }
-                Ok(Some(Frame::Request(request))) => batch.push(request),
-                Ok(Some(Frame::Stats(query))) => {
-                    // Close the batch early: the pending requests are
-                    // served first, so the snapshot is a pure function
-                    // of the stream prefix up to this query.
-                    control = Some(Control::Stats(query));
-                    break;
-                }
-                Ok(Some(Frame::SwapDb(request))) => {
-                    // Same early close as a stats query: the swap lands
-                    // after every already-admitted request, whatever
-                    // the thread count.
-                    control = Some(Control::Swap(request));
-                    break;
-                }
-                Ok(Some(Frame::Promote(request))) => {
-                    // Same early close: the promotion is a pure
-                    // function of the stream prefix before it.
-                    control = Some(Control::Promote(request));
                     break;
                 }
                 Ok(Some(Frame::Shutdown)) => {
@@ -649,17 +626,11 @@ pub fn serve_stream(
                     open = false;
                     break;
                 }
-                Ok(Some(other)) => {
-                    // A client must only send requests; answer the
-                    // violation in stream position and keep serving.
-                    let error = Frame::Error(ErrorFrame {
-                        seq: 0,
-                        message: format!("unexpected frame kind {}", other.kind()),
-                    });
-                    error
-                        .write_to(output)
-                        .map_err(|e| DaemonError::Io(e.to_string()))?;
-                    report.rejected += 1;
+                Ok(Some(frame)) => {
+                    // Batch flush first: the frame is answered after
+                    // every request admitted before it.
+                    control = Some(frame);
+                    break;
                 }
                 Err(e) => {
                     // Framing is lost; tell the peer why, then stop.
@@ -673,44 +644,17 @@ pub fn serve_stream(
                 }
             }
         }
+        let mut answers = Vec::new();
         if !batch.is_empty() {
-            for frame in daemon.handle_batch(&batch) {
-                match &frame {
-                    Frame::Response(_) => report.served += 1,
-                    _ => report.rejected += 1,
-                }
-                frame
-                    .write_to(output)
-                    .map_err(|e| DaemonError::Io(e.to_string()))?;
-            }
+            answers = daemon.handle_batch(&batch);
             report.batches += 1;
         }
-        match control {
-            None => {}
-            Some(Control::Stats(query)) => {
-                let frame = daemon.stats_response(&query);
-                match &frame {
-                    Frame::StatsResponse(_) => report.stats += 1,
-                    _ => report.rejected += 1,
-                }
-                frame
-                    .write_to(output)
-                    .map_err(|e| DaemonError::Io(e.to_string()))?;
-            }
-            Some(Control::Swap(request)) => {
-                let frame = daemon.swap_response(&request);
-                report.swaps += 1;
-                frame
-                    .write_to(output)
-                    .map_err(|e| DaemonError::Io(e.to_string()))?;
-            }
-            Some(Control::Promote(request)) => {
-                let frame = daemon.promote_response(&request);
-                report.promotes += 1;
-                frame
-                    .write_to(output)
-                    .map_err(|e| DaemonError::Io(e.to_string()))?;
-            }
+        answers.extend(control.map(|frame| daemon.control_response(&frame)));
+        for answer in answers {
+            report.tally(&answer);
+            answer
+                .write_to(output)
+                .map_err(|e| DaemonError::Io(e.to_string()))?;
         }
         output.flush().map_err(|e| DaemonError::Io(e.to_string()))?;
     }
@@ -855,13 +799,23 @@ mod tests {
                 spec: lax,
             },
         ]);
-        let mut input = std::io::Cursor::new(frames_for(&trace, false));
+        // A frame only a daemon may send is answered in stream position,
+        // after the requests admitted before it.
+        let mut bytes = frames_for(&trace, false);
+        bytes.extend_from_slice(
+            &Frame::Error(ErrorFrame {
+                seq: 3,
+                message: "not yours".into(),
+            })
+            .to_bytes(),
+        );
+        let mut input = std::io::Cursor::new(bytes);
         let mut output = Vec::new();
         let report =
             serve_stream(&tenants, &mut input, &mut output, &DaemonConfig::default()).unwrap();
         assert!(!report.clean_shutdown, "EOF drain, no shutdown frame");
         assert_eq!(report.served, 1);
-        assert_eq!(report.rejected, 1);
+        assert_eq!(report.rejected, 2);
         let frames = decode_all(&output);
         assert!(matches!(&frames[0], Frame::Response(r) if r.seq == 1));
         let Frame::Error(e) = &frames[1] else {
@@ -869,6 +823,7 @@ mod tests {
         };
         assert_eq!(e.seq, 2);
         assert!(e.message.contains("ghost"), "message: {}", e.message);
+        assert!(matches!(&frames[2], Frame::Error(e) if e.message == "unexpected frame kind 3"));
     }
 
     #[test]
@@ -894,6 +849,38 @@ mod tests {
         // The peer was told why before the stream closed.
         let frames = decode_all(&output);
         assert!(matches!(&frames[0], Frame::Error(e) if e.message.contains("checksum")));
+    }
+
+    #[test]
+    fn final_error_frame_fits_the_payload_cap() {
+        // A request exactly at the payload cap whose 65,502-byte tenant
+        // name holds a space: the decode error quotes the whole name, and
+        // the final error frame must still decode on the peer's side.
+        let tenants = fleet(1);
+        let mut bytes = Frame::Request(Request {
+            seq: 1,
+            tenant: "a".repeat(65_502),
+            time: 0.0,
+            spec: QosSpec::new(1.0, 0.5),
+        })
+        .to_bytes();
+        assert_eq!(bytes.len(), crate::wire::WIRE_HEADER_LEN + MAX_PAYLOAD_LEN);
+        let last = bytes.len() - 1;
+        bytes[last] = b' ';
+        let sum = crate::fnv1a64(&bytes[crate::wire::WIRE_HEADER_LEN..]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        let mut output = Vec::new();
+        let err = serve_stream(
+            &tenants,
+            &mut std::io::Cursor::new(bytes),
+            &mut output,
+            &DaemonConfig::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, DaemonError::Wire(WireError::Malformed(_))));
+        let (frame, used) = Frame::from_bytes(&output).unwrap();
+        assert_eq!(used, output.len());
+        assert!(matches!(frame, Frame::Error(e) if e.message.contains("bad tenant name")));
     }
 
     #[test]

@@ -556,33 +556,19 @@ fn cmd_stats(args: &[String]) -> ExitCode {
         if flag(&flags, "in").is_some() || flag(&flags, "snapshot").is_some() {
             return usage_error("--request-out excludes --in and --snapshot");
         }
-        let tenant = match flag(&flags, "tenant") {
-            Some(name) if is_plain_name(name) => Some(name.to_string()),
-            Some(name) => return usage_error(&format!("bad --tenant {name:?} (a plain name)")),
-            None => None,
-        };
-        let flight = match flag(&flags, "flight").unwrap_or("false") {
-            "true" => true,
-            "false" => false,
-            other => return usage_error(&format!("bad --flight {other:?} (true or false)")),
-        };
-        let seq: u64 = match flag(&flags, "seq").map_or(Ok(1), str::parse) {
-            Ok(s) => s,
-            Err(_) => return usage_error("bad --seq"),
-        };
-        let frame = Frame::Stats(StatsRequest {
-            seq,
-            version: STATS_VERSION,
-            flight,
-            tenant,
+        return write_request(out, &flags, "stats", |seq| {
+            let flight = match flag(&flags, "flight").unwrap_or("false") {
+                "true" => true,
+                "false" => false,
+                other => return Err(format!("bad --flight {other:?} (true or false)")),
+            };
+            Ok(Frame::Stats(StatsRequest {
+                seq,
+                version: STATS_VERSION,
+                flight,
+                tenant: flag(&flags, "tenant").map(str::to_string),
+            }))
         });
-        let bytes = frame.to_bytes();
-        if let Err(e) = std::fs::write(out, &bytes) {
-            eprintln!("clr-serve: cannot write {out}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("wrote {out}: 1 stats request frame ({} bytes)", bytes.len());
-        return ExitCode::SUCCESS;
     }
     let snapshot = match load_snapshot(&flags) {
         Ok(s) => s,
@@ -618,36 +604,18 @@ fn cmd_swap_db(args: &[String]) -> ExitCode {
     ) else {
         return usage_error("swap-db needs --request-out FILE, --tenant NAME and --path SNAP");
     };
-    if !is_plain_name(tenant) {
-        return usage_error(&format!("bad --tenant {tenant:?} (a plain name)"));
-    }
-    let expected_generation = match flag(&flags, "expect") {
-        None => None,
-        Some(v) => match v.parse::<u64>() {
-            Ok(g) => Some(g),
-            Err(_) => return usage_error("bad --expect (a generation number)"),
-        },
-    };
-    let seq: u64 = match flag(&flags, "seq").map_or(Ok(1), str::parse) {
-        Ok(s) => s,
-        Err(_) => return usage_error("bad --seq"),
-    };
-    let frame = Frame::SwapDb(SwapDbRequest {
-        seq,
-        tenant: tenant.to_string(),
-        expected_generation,
-        path: path.to_string(),
-    });
-    let bytes = frame.to_bytes();
-    if let Err(e) = std::fs::write(out, &bytes) {
-        eprintln!("clr-serve: cannot write {out}: {e}");
-        return ExitCode::from(2);
-    }
-    eprintln!(
-        "wrote {out}: 1 swap-db request frame for tenant {tenant} ({} bytes)",
-        bytes.len()
-    );
-    ExitCode::SUCCESS
+    write_request(out, &flags, "swap-db", |seq| {
+        let expected_generation = flag(&flags, "expect")
+            .map(str::parse)
+            .transpose()
+            .map_err(|_| "bad --expect (a generation number)".to_string())?;
+        Ok(Frame::SwapDb(SwapDbRequest {
+            seq,
+            tenant: tenant.to_string(),
+            expected_generation,
+            path: path.to_string(),
+        }))
+    })
 }
 
 /// `promote`: encode a `CLRWIRE1` shadow→live promotion request frame
@@ -665,24 +633,40 @@ fn cmd_promote(args: &[String]) -> ExitCode {
     let (Some(out), Some(tenant)) = (flag(&flags, "request-out"), flag(&flags, "tenant")) else {
         return usage_error("promote needs --request-out FILE and --tenant NAME");
     };
-    if !is_plain_name(tenant) {
-        return usage_error(&format!("bad --tenant {tenant:?} (a plain name)"));
+    write_request(out, &flags, "promote", |seq| {
+        Ok(Frame::Promote(PromoteRequest {
+            seq,
+            tenant: tenant.to_string(),
+        }))
+    })
+}
+
+/// Writes one control request frame to `out` for the `stats`,
+/// `swap-db` and `promote` subcommands: checks the shared `--tenant`
+/// (a plain name) and `--seq` (default 1) flags, then lets `build` fill
+/// in the frame; a `build` error is a usage error.
+fn write_request(
+    out: &str,
+    flags: &[(&str, &str)],
+    what: &str,
+    build: impl FnOnce(u64) -> Result<Frame, String>,
+) -> ExitCode {
+    if let Some(name) = flag(flags, "tenant").filter(|name| !is_plain_name(name)) {
+        return usage_error(&format!("bad --tenant {name:?} (a plain name)"));
     }
-    let seq: u64 = match flag(&flags, "seq").map_or(Ok(1), str::parse) {
-        Ok(s) => s,
-        Err(_) => return usage_error("bad --seq"),
+    let Ok(seq) = flag(flags, "seq").map_or(Ok(1), str::parse) else {
+        return usage_error("bad --seq");
     };
-    let frame = Frame::Promote(PromoteRequest {
-        seq,
-        tenant: tenant.to_string(),
-    });
-    let bytes = frame.to_bytes();
+    let bytes = match build(seq) {
+        Ok(frame) => frame.to_bytes(),
+        Err(e) => return usage_error(&e),
+    };
     if let Err(e) = std::fs::write(out, &bytes) {
         eprintln!("clr-serve: cannot write {out}: {e}");
         return ExitCode::from(2);
     }
     eprintln!(
-        "wrote {out}: 1 promote request frame for tenant {tenant} ({} bytes)",
+        "wrote {out}: 1 {what} request frame ({} bytes)",
         bytes.len()
     );
     ExitCode::SUCCESS

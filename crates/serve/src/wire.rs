@@ -239,27 +239,6 @@ pub enum SwapStatus {
 }
 
 impl SwapStatus {
-    /// Stable wire code (append-only).
-    pub fn code(self) -> u8 {
-        match self {
-            Self::Swapped => 0,
-            Self::VerifyFailed => 1,
-            Self::UnknownTenant => 2,
-            Self::IoError => 3,
-        }
-    }
-
-    /// Decodes a wire code.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Self::Swapped),
-            1 => Some(Self::VerifyFailed),
-            2 => Some(Self::UnknownTenant),
-            3 => Some(Self::IoError),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase label (journal/summary vocabulary).
     pub fn label(self) -> &'static str {
         match self {
@@ -308,25 +287,6 @@ pub enum PromoteStatus {
 }
 
 impl PromoteStatus {
-    /// Stable wire code (append-only).
-    pub fn code(self) -> u8 {
-        match self {
-            Self::Promoted => 0,
-            Self::NoLearner => 1,
-            Self::UnknownTenant => 2,
-        }
-    }
-
-    /// Decodes a wire code.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Self::Promoted),
-            1 => Some(Self::NoLearner),
-            2 => Some(Self::UnknownTenant),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase label (journal/summary vocabulary).
     pub fn label(self) -> &'static str {
         match self {
@@ -431,90 +391,159 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Stable status codes for [`ServeStatus`] on the wire (append-only).
-fn status_code(status: ServeStatus) -> u8 {
-    match status {
-        ServeStatus::Normal => 0,
-        ServeStatus::DegradedLkg => 1,
-        ServeStatus::DegradedBaseline => 2,
-        ServeStatus::DegradedHold => 3,
-        ServeStatus::Quarantined => 4,
-    }
+/// Header kind bytes, declared once: [`Frame::kind`], the header check
+/// and the payload decoder all name them from here.
+mod kind {
+    pub const REQUEST: u8 = 1;
+    pub const RESPONSE: u8 = 2;
+    pub const ERROR: u8 = 3;
+    pub const SHUTDOWN: u8 = 4;
+    pub const STATS: u8 = 5;
+    pub const STATS_RESPONSE: u8 = 6;
+    pub const SWAP_DB: u8 = 7;
+    pub const SWAP_DB_RESPONSE: u8 = 8;
+    pub const PROMOTE: u8 = 9;
+    pub const PROMOTE_RESPONSE: u8 = 10;
+    /// Every kind the header accepts.
+    pub const ALL: std::ops::RangeInclusive<u8> = REQUEST..=PROMOTE_RESPONSE;
 }
 
-fn status_from_code(code: u8) -> Option<ServeStatus> {
-    match code {
-        0 => Some(ServeStatus::Normal),
-        1 => Some(ServeStatus::DegradedLkg),
-        2 => Some(ServeStatus::DegradedBaseline),
-        3 => Some(ServeStatus::DegradedHold),
-        4 => Some(ServeStatus::Quarantined),
-        _ => None,
-    }
+/// A value with a stable, append-only one-byte wire code.
+trait WireCode: Sized {
+    /// What the code names, for decode errors.
+    const WHAT: &'static str;
+    fn code(self) -> u8;
+    fn from_code(code: u8) -> Option<Self>;
 }
+
+/// Implements [`WireCode`] for a fieldless enum from one
+/// `Variant => code` table, so the two directions cannot drift apart.
+macro_rules! wire_code {
+    ($ty:ident, $what:literal, $($variant:ident => $code:literal),+) => {
+        impl WireCode for $ty {
+            const WHAT: &'static str = $what;
+            fn code(self) -> u8 {
+                match self {
+                    $($ty::$variant => $code,)+
+                }
+            }
+            fn from_code(code: u8) -> Option<Self> {
+                match code {
+                    $($code => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+wire_code!(ServeStatus, "status", Normal => 0, DegradedLkg => 1, DegradedBaseline => 2,
+    DegradedHold => 3, Quarantined => 4);
+wire_code!(SwapStatus, "swap status", Swapped => 0, VerifyFailed => 1, UnknownTenant => 2,
+    IoError => 3);
+wire_code!(PromoteStatus, "promote status", Promoted => 0, NoLearner => 1, UnknownTenant => 2);
 
 /// `0` = no fault, else `1 + index` into [`FaultKind::ALL`].
-fn fault_code(fault: Option<FaultKind>) -> u8 {
-    match fault {
-        None => 0,
-        Some(kind) => {
-            let idx = FaultKind::ALL
-                .iter()
-                .position(|&k| k == kind)
-                .unwrap_or_default();
-            u8::try_from(idx + 1).unwrap_or_default()
+impl WireCode for Option<FaultKind> {
+    const WHAT: &'static str = "fault";
+    fn code(self) -> u8 {
+        self.and_then(|kind| FaultKind::ALL.iter().position(|&k| k == kind))
+            .map_or(0, |idx| u8::try_from(idx + 1).unwrap_or_default())
+    }
+    fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(None),
+            _ => FaultKind::ALL.get(usize::from(code) - 1).copied().map(Some),
         }
     }
 }
 
-fn fault_from_code(code: u8) -> Result<Option<FaultKind>, WireError> {
-    if code == 0 {
-        return Ok(None);
-    }
-    FaultKind::ALL
-        .get(usize::from(code) - 1)
-        .copied()
-        .map(Some)
-        .ok_or_else(|| WireError::Malformed(format!("unknown fault code {code}")))
-}
-
-/// Little-endian payload writer.
-#[derive(Default)]
-struct PayloadWriter {
+/// Little-endian frame writer: the header goes first, and
+/// [`FrameWriter::finish`] patches in the payload's length and checksum.
+struct FrameWriter {
     bytes: Vec<u8>,
 }
 
-impl PayloadWriter {
-    fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+impl FrameWriter {
+    fn new(kind: u8) -> Self {
+        // Room for a request or a response with a short tenant name.
+        let mut bytes = Vec::with_capacity(WIRE_HEADER_LEN + 128);
+        bytes.extend_from_slice(&WIRE_MAGIC);
+        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        bytes.push(kind);
+        bytes.resize(WIRE_HEADER_LEN, 0); // reserved, length, checksum
+        Self { bytes }
     }
-    fn u16(&mut self, v: u16) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    fn finish(mut self) -> Vec<u8> {
+        let payload = &self.bytes[WIRE_HEADER_LEN..];
+        let len = (payload.len() as u64).to_le_bytes();
+        let sum = fnv1a64(payload).to_le_bytes();
+        self.bytes[16..24].copy_from_slice(&len);
+        self.bytes[24..32].copy_from_slice(&sum);
+        self.bytes
     }
     fn u8(&mut self, v: u8) {
         self.bytes.push(v);
     }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => {
-                self.u8(0);
-                self.f64(0.0);
-            }
-        }
+    fn u16(&mut self, v: u16) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
     }
+    fn u32(&mut self, v: u32) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    fn flag(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+    fn code(&mut self, v: impl WireCode) {
+        self.u8(v.code());
+    }
+    /// Presence byte, then the value (zero when absent).
+    fn opt_u64(&mut self, v: Option<u64>) {
+        self.flag(v.is_some());
+        self.u64(v.unwrap_or(0));
+    }
+    fn opt_f64(&mut self, v: Option<f64>) {
+        self.opt_u64(v.map(f64::to_bits));
+    }
+    /// A plain tenant name behind a u16 length.
     fn name(&mut self, name: &str) {
         debug_assert!(is_plain_name(name), "wire names are [A-Za-z0-9_-]+");
         let len = u16::try_from(name.len()).unwrap_or(u16::MAX);
-        self.bytes.extend_from_slice(&len.to_le_bytes());
+        self.u16(len);
         self.bytes
             .extend_from_slice(&name.as_bytes()[..usize::from(len)]);
+    }
+    /// A tenant name, or length 0 for none.
+    fn opt_name(&mut self, name: Option<&str>) {
+        match name {
+            Some(name) => self.name(name),
+            None => self.u16(0),
+        }
+    }
+    /// Free text behind a u16 length.
+    fn text16(&mut self, text: &str) {
+        let text = self.fit(text, 2);
+        self.u16(u16::try_from(text.len()).unwrap_or(u16::MAX));
+        self.bytes.extend_from_slice(text.as_bytes());
+    }
+    /// Free text behind a u32 length.
+    fn text32(&mut self, text: &str) {
+        let text = self.fit(text, 4);
+        self.u32(u32::try_from(text.len()).unwrap_or(u32::MAX));
+        self.bytes.extend_from_slice(text.as_bytes());
+    }
+    /// The longest prefix of `text` that ends on a character boundary
+    /// and, behind a `len_bytes` length field, still fits the payload
+    /// cap — so every encoded frame decodes.
+    fn fit<'t>(&self, text: &'t str, len_bytes: usize) -> &'t str {
+        let used = self.bytes.len() - WIRE_HEADER_LEN + len_bytes;
+        &text[..text.floor_char_boundary(MAX_PAYLOAD_LEN.saturating_sub(used))]
     }
 }
 
@@ -538,43 +567,84 @@ impl<'a> PayloadReader<'a> {
         self.pos = end;
         Ok(slice)
     }
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+    fn u16(&mut self) -> Result<u16, WireError> {
+        let raw = self.take(2)?;
+        Ok(u16::from_le_bytes([raw[0], raw[1]]))
+    }
+    fn u32(&mut self) -> Result<u32, WireError> {
+        let raw = self.take(4)?;
+        Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
+    }
     fn u64(&mut self) -> Result<u64, WireError> {
         let raw = self.take(8)?;
         let mut buf = [0u8; 8];
         buf.copy_from_slice(raw);
         Ok(u64::from_le_bytes(buf))
     }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let raw = self.take(2)?;
-        Ok(u16::from_le_bytes([raw[0], raw[1]]))
-    }
     fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
-        let present = self.u8()?;
-        let value = self.f64()?;
-        match present {
-            0 => Ok(None),
-            1 => Ok(Some(value)),
+    fn flag(&mut self, what: &str) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
             other => Err(WireError::Malformed(format!(
-                "bad option flag {other} (expected 0 or 1)"
+                "bad {what} flag {other} (expected 0 or 1)"
             ))),
         }
     }
+    fn code<T: WireCode>(&mut self) -> Result<T, WireError> {
+        let code = self.u8()?;
+        T::from_code(code)
+            .ok_or_else(|| WireError::Malformed(format!("unknown {} code {code}", T::WHAT)))
+    }
+    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
+        let present = self.flag("option")?;
+        let value = self.u64()?;
+        Ok(present.then_some(value))
+    }
+    fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
+        Ok(self.opt_u64()?.map(f64::from_bits))
+    }
     fn name(&mut self) -> Result<String, WireError> {
-        let raw = self.take(2)?;
-        let len = usize::from(u16::from_le_bytes([raw[0], raw[1]]));
-        let bytes = self.take(len)?;
-        let name = std::str::from_utf8(bytes)
-            .map_err(|_| WireError::Malformed("tenant name is not UTF-8".into()))?;
+        let len = self.u16()?;
+        self.plain_name(len)
+    }
+    fn opt_name(&mut self) -> Result<Option<String>, WireError> {
+        match self.u16()? {
+            0 => Ok(None),
+            len => self.plain_name(len).map(Some),
+        }
+    }
+    fn plain_name(&mut self, len: u16) -> Result<String, WireError> {
+        let name = self.utf8(usize::from(len), "tenant name")?;
         if !is_plain_name(name) {
             return Err(WireError::Malformed(format!("bad tenant name {name:?}")));
         }
         Ok(name.to_string())
+    }
+    fn text16(&mut self, what: &str) -> Result<String, WireError> {
+        let len = self.u16()?;
+        Ok(self.utf8(usize::from(len), what)?.to_string())
+    }
+    fn text32(&mut self, what: &str) -> Result<String, WireError> {
+        let len = usize::try_from(self.u32()?).unwrap_or(usize::MAX);
+        Ok(self.utf8(len, what)?.to_string())
+    }
+    /// A non-empty snapshot path.
+    fn path(&mut self) -> Result<String, WireError> {
+        let path = self.text16("snapshot path")?;
+        if path.is_empty() {
+            return Err(WireError::Malformed("empty snapshot path".into()));
+        }
+        Ok(path)
+    }
+    fn utf8(&mut self, len: usize, what: &str) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| WireError::Malformed(format!("{what} is not UTF-8")))
     }
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.bytes.len() {
@@ -592,126 +662,102 @@ impl Frame {
     /// The header kind byte of this frame.
     pub fn kind(&self) -> u8 {
         match self {
-            Self::Request(_) => 1,
-            Self::Response(_) => 2,
-            Self::Error(_) => 3,
-            Self::Shutdown => 4,
-            Self::Stats(_) => 5,
-            Self::StatsResponse(_) => 6,
-            Self::SwapDb(_) => 7,
-            Self::SwapDbResponse(_) => 8,
-            Self::Promote(_) => 9,
-            Self::PromoteResponse(_) => 10,
+            Self::Request(_) => kind::REQUEST,
+            Self::Response(_) => kind::RESPONSE,
+            Self::Error(_) => kind::ERROR,
+            Self::Shutdown => kind::SHUTDOWN,
+            Self::Stats(_) => kind::STATS,
+            Self::StatsResponse(_) => kind::STATS_RESPONSE,
+            Self::SwapDb(_) => kind::SWAP_DB,
+            Self::SwapDbResponse(_) => kind::SWAP_DB_RESPONSE,
+            Self::Promote(_) => kind::PROMOTE,
+            Self::PromoteResponse(_) => kind::PROMOTE_RESPONSE,
         }
     }
 
     /// Encodes the frame (header + payload).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = PayloadWriter::default();
+        let mut w = FrameWriter::new(self.kind());
         match self {
             Self::Request(r) => {
-                payload.u64(r.seq);
-                payload.f64(r.time);
-                payload.f64(r.spec.max_makespan);
-                payload.f64(r.spec.min_reliability);
-                payload.name(&r.tenant);
+                w.u64(r.seq);
+                w.f64(r.time);
+                w.f64(r.spec.max_makespan);
+                w.f64(r.spec.min_reliability);
+                w.name(&r.tenant);
             }
             Self::Response(r) => {
                 let d = &r.decision;
-                payload.u64(r.seq);
-                payload.name(&r.tenant);
-                payload.u64(d.event as u64);
-                payload.f64(d.time);
-                payload.f64(d.spec.max_makespan);
-                payload.f64(d.spec.min_reliability);
-                payload.u64(d.feasible as u64);
-                payload.u64(d.from as u64);
-                payload.u64(d.to as u64);
-                payload.f64(d.drc);
-                payload.opt_f64(d.score);
-                payload.opt_f64(d.p_rc);
-                payload.u8(u8::from(d.violated));
-                payload.u8(status_code(d.status));
-                payload.u8(fault_code(d.fault));
+                w.u64(r.seq);
+                w.name(&r.tenant);
+                w.u64(d.event as u64);
+                w.f64(d.time);
+                w.f64(d.spec.max_makespan);
+                w.f64(d.spec.min_reliability);
+                w.u64(d.feasible as u64);
+                w.u64(d.from as u64);
+                w.u64(d.to as u64);
+                w.f64(d.drc);
+                w.opt_f64(d.score);
+                w.opt_f64(d.p_rc);
+                w.flag(d.violated);
+                w.code(d.status);
+                w.code(d.fault);
             }
             Self::Error(e) => {
-                payload.u64(e.seq);
-                let msg = e.message.as_bytes();
-                let len = u16::try_from(msg.len()).unwrap_or(u16::MAX);
-                payload.bytes.extend_from_slice(&len.to_le_bytes());
-                payload.bytes.extend_from_slice(&msg[..usize::from(len)]);
+                w.u64(e.seq);
+                w.text16(&e.message);
             }
             Self::Shutdown => {}
             Self::Stats(s) => {
-                payload.u64(s.seq);
-                payload.u16(s.version);
-                payload.u8(u8::from(s.flight));
-                match &s.tenant {
-                    Some(name) => payload.name(name),
-                    None => payload.u16(0), // length 0 = whole fleet
-                }
+                w.u64(s.seq);
+                w.u16(s.version);
+                w.flag(s.flight);
+                w.opt_name(s.tenant.as_deref());
             }
             Self::StatsResponse(s) => {
-                payload.u64(s.seq);
-                let text = s.snapshot.as_bytes();
-                let len = u32::try_from(text.len()).unwrap_or(u32::MAX);
-                payload.bytes.extend_from_slice(&len.to_le_bytes());
-                payload
-                    .bytes
-                    .extend_from_slice(&text[..usize::try_from(len).unwrap_or(0)]);
+                w.u64(s.seq);
+                w.text32(&s.snapshot);
             }
             Self::SwapDb(s) => {
-                payload.u64(s.seq);
-                payload.name(&s.tenant);
-                match s.expected_generation {
-                    Some(g) => {
-                        payload.u8(1);
-                        payload.u64(g);
-                    }
-                    None => {
-                        payload.u8(0);
-                        payload.u64(0);
-                    }
-                }
-                let path = s.path.as_bytes();
-                let len = u16::try_from(path.len()).unwrap_or(u16::MAX);
-                payload.bytes.extend_from_slice(&len.to_le_bytes());
-                payload.bytes.extend_from_slice(&path[..usize::from(len)]);
+                w.u64(s.seq);
+                w.name(&s.tenant);
+                w.opt_u64(s.expected_generation);
+                w.text16(&s.path);
             }
             Self::SwapDbResponse(s) => {
-                payload.u64(s.seq);
-                payload.name(&s.tenant);
-                payload.u8(s.status.code());
-                payload.u64(s.generation);
+                w.u64(s.seq);
+                w.name(&s.tenant);
+                w.code(s.status);
+                w.u64(s.generation);
             }
             Self::Promote(p) => {
-                payload.u64(p.seq);
-                payload.name(&p.tenant);
+                w.u64(p.seq);
+                w.name(&p.tenant);
             }
             Self::PromoteResponse(p) => {
-                payload.u64(p.seq);
-                payload.name(&p.tenant);
-                payload.u8(p.status.code());
-                payload.u64(p.promotions);
+                w.u64(p.seq);
+                w.name(&p.tenant);
+                w.code(p.status);
+                w.u64(p.promotions);
             }
         }
-        let payload = payload.bytes;
-        let mut out = Vec::with_capacity(WIRE_HEADER_LEN + payload.len());
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        out.push(self.kind());
-        out.extend_from_slice(&[0u8; 5]);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        w.finish()
     }
 
-    /// Decodes one frame from a validated header + payload pair.
-    fn from_parts(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
+    /// Decodes one frame from a validated header's kind and checksum and
+    /// its payload.
+    fn from_parts(byte: u8, checksum: u64, payload: &[u8]) -> Result<Self, WireError> {
+        let actual = fnv1a64(payload);
+        if actual != checksum {
+            return Err(WireError::ChecksumMismatch {
+                declared: checksum,
+                actual,
+            });
+        }
         let mut r = PayloadReader::new(payload);
-        let frame = match kind {
-            1 => {
+        let frame = match byte {
+            kind::REQUEST => {
                 let seq = r.u64()?;
                 let time = r.f64()?;
                 let s_max = r.f64()?;
@@ -724,7 +770,7 @@ impl Frame {
                     spec: QosSpec::new(s_max, f_min),
                 })
             }
-            2 => {
+            kind::RESPONSE => {
                 let seq = r.u64()?;
                 let tenant = r.name()?;
                 let event = usize::try_from(r.u64()?)
@@ -736,24 +782,6 @@ impl Frame {
                     usize::try_from(v)
                         .map_err(|_| WireError::Malformed("point index overflows usize".into()))
                 };
-                let feasible = idx(r.u64()?)?;
-                let from = idx(r.u64()?)?;
-                let to = idx(r.u64()?)?;
-                let drc = r.f64()?;
-                let score = r.opt_f64()?;
-                let p_rc = r.opt_f64()?;
-                let violated = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "bad violated flag {other} (expected 0 or 1)"
-                        )))
-                    }
-                };
-                let status = status_from_code(r.u8()?)
-                    .ok_or_else(|| WireError::Malformed("unknown status code".to_string()))?;
-                let fault = fault_from_code(r.u8()?)?;
                 Self::Response(Response {
                     seq,
                     tenant,
@@ -761,135 +789,55 @@ impl Frame {
                         event,
                         time,
                         spec: QosSpec::new(s_max, f_min),
-                        feasible,
-                        from,
-                        to,
-                        drc,
-                        score,
-                        p_rc,
-                        violated,
-                        status,
-                        fault,
+                        feasible: idx(r.u64()?)?,
+                        from: idx(r.u64()?)?,
+                        to: idx(r.u64()?)?,
+                        drc: r.f64()?,
+                        score: r.opt_f64()?,
+                        p_rc: r.opt_f64()?,
+                        violated: r.flag("violated")?,
+                        status: r.code()?,
+                        fault: r.code()?,
                     },
                 })
             }
-            3 => {
-                let seq = r.u64()?;
-                let raw = r.take(2)?;
-                let len = usize::from(u16::from_le_bytes([raw[0], raw[1]]));
-                let bytes = r.take(len)?;
-                let message = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::Malformed("error message is not UTF-8".into()))?
-                    .to_string();
-                Self::Error(ErrorFrame { seq, message })
-            }
-            4 => Self::Shutdown,
-            5 => {
-                let seq = r.u64()?;
-                let version = r.u16()?;
-                let flight = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "bad flight flag {other} (expected 0 or 1)"
-                        )))
-                    }
-                };
-                // Length 0 means "whole fleet"; any other length is a
-                // plain tenant name.
-                let len = usize::from(r.u16()?);
-                let tenant = if len == 0 {
-                    None
-                } else {
-                    let bytes = r.take(len)?;
-                    let name = std::str::from_utf8(bytes)
-                        .map_err(|_| WireError::Malformed("tenant name is not UTF-8".into()))?;
-                    if !is_plain_name(name) {
-                        return Err(WireError::Malformed(format!("bad tenant name {name:?}")));
-                    }
-                    Some(name.to_string())
-                };
-                Self::Stats(StatsRequest {
-                    seq,
-                    version,
-                    flight,
-                    tenant,
-                })
-            }
-            6 => {
-                let seq = r.u64()?;
-                let raw = r.take(4)?;
-                let len = usize::try_from(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
-                    .map_err(|_| WireError::Malformed("snapshot length overflows usize".into()))?;
-                let bytes = r.take(len)?;
-                let snapshot = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::Malformed("snapshot is not UTF-8".into()))?
-                    .to_string();
-                Self::StatsResponse(StatsResponse { seq, snapshot })
-            }
-            7 => {
-                let seq = r.u64()?;
-                let tenant = r.name()?;
-                let present = r.u8()?;
-                let value = r.u64()?;
-                let expected_generation = match present {
-                    0 => None,
-                    1 => Some(value),
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "bad option flag {other} (expected 0 or 1)"
-                        )))
-                    }
-                };
-                let raw = r.take(2)?;
-                let len = usize::from(u16::from_le_bytes([raw[0], raw[1]]));
-                let bytes = r.take(len)?;
-                let path = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::Malformed("snapshot path is not UTF-8".into()))?
-                    .to_string();
-                if path.is_empty() {
-                    return Err(WireError::Malformed("empty snapshot path".into()));
-                }
-                Self::SwapDb(SwapDbRequest {
-                    seq,
-                    tenant,
-                    expected_generation,
-                    path,
-                })
-            }
-            8 => {
-                let seq = r.u64()?;
-                let tenant = r.name()?;
-                let status = SwapStatus::from_code(r.u8()?)
-                    .ok_or_else(|| WireError::Malformed("unknown swap status code".to_string()))?;
-                let generation = r.u64()?;
-                Self::SwapDbResponse(SwapDbResponse {
-                    seq,
-                    tenant,
-                    status,
-                    generation,
-                })
-            }
-            9 => {
-                let seq = r.u64()?;
-                let tenant = r.name()?;
-                Self::Promote(PromoteRequest { seq, tenant })
-            }
-            10 => {
-                let seq = r.u64()?;
-                let tenant = r.name()?;
-                let status = PromoteStatus::from_code(r.u8()?).ok_or_else(|| {
-                    WireError::Malformed("unknown promote status code".to_string())
-                })?;
-                let promotions = r.u64()?;
-                Self::PromoteResponse(PromoteResponse {
-                    seq,
-                    tenant,
-                    status,
-                    promotions,
-                })
-            }
+            kind::ERROR => Self::Error(ErrorFrame {
+                seq: r.u64()?,
+                message: r.text16("error message")?,
+            }),
+            kind::SHUTDOWN => Self::Shutdown,
+            kind::STATS => Self::Stats(StatsRequest {
+                seq: r.u64()?,
+                version: r.u16()?,
+                flight: r.flag("flight")?,
+                tenant: r.opt_name()?,
+            }),
+            kind::STATS_RESPONSE => Self::StatsResponse(StatsResponse {
+                seq: r.u64()?,
+                snapshot: r.text32("snapshot")?,
+            }),
+            kind::SWAP_DB => Self::SwapDb(SwapDbRequest {
+                seq: r.u64()?,
+                tenant: r.name()?,
+                expected_generation: r.opt_u64()?,
+                path: r.path()?,
+            }),
+            kind::SWAP_DB_RESPONSE => Self::SwapDbResponse(SwapDbResponse {
+                seq: r.u64()?,
+                tenant: r.name()?,
+                status: r.code()?,
+                generation: r.u64()?,
+            }),
+            kind::PROMOTE => Self::Promote(PromoteRequest {
+                seq: r.u64()?,
+                tenant: r.name()?,
+            }),
+            kind::PROMOTE_RESPONSE => Self::PromoteResponse(PromoteResponse {
+                seq: r.u64()?,
+                tenant: r.name()?,
+                status: r.code()?,
+                promotions: r.u64()?,
+            }),
             other => return Err(WireError::BadKind { kind: other }),
         };
         r.finish()?;
@@ -907,25 +855,13 @@ impl Frame {
         if bytes.len() < WIRE_HEADER_LEN {
             return Err(WireError::Truncated);
         }
-        let (kind, declared_len, declared_sum) = decode_header(&bytes[..WIRE_HEADER_LEN])?;
-        let total =
-            WIRE_HEADER_LEN
-                .checked_add(declared_len)
-                .ok_or(WireError::OversizedPayload {
-                    declared: declared_len as u64,
-                })?;
-        if bytes.len() < total {
-            return Err(WireError::Truncated);
-        }
-        let payload = &bytes[WIRE_HEADER_LEN..total];
-        let actual = fnv1a64(payload);
-        if actual != declared_sum {
-            return Err(WireError::ChecksumMismatch {
-                declared: declared_sum,
-                actual,
-            });
-        }
-        Ok((Self::from_parts(kind, payload)?, total))
+        let (byte, declared_len, checksum) = decode_header(&bytes[..WIRE_HEADER_LEN])?;
+        // The header caps the length, so this cannot overflow.
+        let total = WIRE_HEADER_LEN + declared_len;
+        let payload = bytes
+            .get(WIRE_HEADER_LEN..total)
+            .ok_or(WireError::Truncated)?;
+        Ok((Self::from_parts(byte, checksum, payload)?, total))
     }
 
     /// Writes the encoded frame to `w`.
@@ -956,7 +892,7 @@ impl Frame {
                 Err(e) => return Err(WireError::Io(e.to_string())),
             }
         }
-        let (kind, declared_len, declared_sum) = decode_header(&header)?;
+        let (byte, declared_len, checksum) = decode_header(&header)?;
         let mut payload = vec![0u8; declared_len];
         r.read_exact(&mut payload).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -965,14 +901,7 @@ impl Frame {
                 WireError::Io(e.to_string())
             }
         })?;
-        let actual = fnv1a64(&payload);
-        if actual != declared_sum {
-            return Err(WireError::ChecksumMismatch {
-                declared: declared_sum,
-                actual,
-            });
-        }
-        Ok(Some(Self::from_parts(kind, &payload)?))
+        Ok(Some(Self::from_parts(byte, checksum, &payload)?))
     }
 }
 
@@ -987,7 +916,7 @@ fn decode_header(header: &[u8]) -> Result<(u8, usize, u64), WireError> {
         return Err(WireError::UnsupportedVersion { version });
     }
     let kind = header[10];
-    if !(1..=10).contains(&kind) {
+    if !kind::ALL.contains(&kind) {
         return Err(WireError::BadKind { kind });
     }
     if header[11..16] != [0u8; 5] {
@@ -1009,16 +938,16 @@ fn decode_header(header: &[u8]) -> Result<(u8, usize, u64), WireError> {
 mod tests {
     use super::*;
 
-    fn sample_request() -> Frame {
+    fn request(seq: u64, tenant: &str) -> Frame {
         Frame::Request(Request {
-            seq: 7,
-            tenant: "cam0".into(),
+            seq,
+            tenant: tenant.into(),
             time: 103.25,
             spec: QosSpec::new(120.5, 0.92),
         })
     }
 
-    fn sample_response() -> Frame {
+    fn response(status: ServeStatus, fault: Option<FaultKind>) -> Frame {
         Frame::Response(Response {
             seq: 7,
             tenant: "cam0".into(),
@@ -1032,34 +961,159 @@ mod tests {
                 drc: 1.75,
                 score: Some(0.875),
                 p_rc: None,
-                violated: false,
-                status: ServeStatus::Normal,
-                fault: None,
+                violated: fault.is_some(),
+                status,
+                fault,
             },
         })
     }
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = [
-            sample_request(),
-            sample_response(),
+    fn swap_db(expected_generation: Option<u64>, path: &str) -> Frame {
+        Frame::SwapDb(SwapDbRequest {
+            seq: 21,
+            tenant: "cam0".into(),
+            expected_generation,
+            path: path.into(),
+        })
+    }
+
+    fn swap_response(status: SwapStatus) -> Frame {
+        Frame::SwapDbResponse(SwapDbResponse {
+            seq: 21,
+            tenant: "cam0".into(),
+            status,
+            generation: 3,
+        })
+    }
+
+    fn promote_response(status: PromoteStatus) -> Frame {
+        Frame::PromoteResponse(PromoteResponse {
+            seq: 31,
+            tenant: "nav".into(),
+            status,
+            promotions: 2,
+        })
+    }
+
+    /// One frame per kind, plus every option, flag and status code.
+    fn samples() -> Vec<Frame> {
+        let mut frames = vec![
+            request(7, "cam0"),
             Frame::Error(ErrorFrame {
                 seq: 9,
                 message: "unknown tenant \"ghost\"".into(),
             }),
             Frame::Shutdown,
+            Frame::Stats(StatsRequest::fleet(11, true)),
+            Frame::Stats(StatsRequest {
+                seq: 12,
+                version: STATS_VERSION,
+                flight: false,
+                tenant: Some("cam0".into()),
+            }),
+            // A future stats version decodes at the frame layer; the
+            // daemon is the one that objects.
+            Frame::Stats(StatsRequest {
+                seq: 13,
+                version: 9,
+                flight: false,
+                tenant: None,
+            }),
+            Frame::StatsResponse(StatsResponse {
+                seq: 11,
+                snapshot: "{\"schema\":2,\"tenants\":[]}".into(),
+            }),
+            swap_db(Some(3), "out/fleet.snap"),
+            swap_db(None, "/tmp/gen 4 (with spaces) é.snap"),
+            Frame::Promote(PromoteRequest {
+                seq: 31,
+                tenant: "cam0".into(),
+            }),
         ];
-        for frame in frames {
+        for status in [
+            ServeStatus::Normal,
+            ServeStatus::DegradedLkg,
+            ServeStatus::DegradedBaseline,
+            ServeStatus::DegradedHold,
+            ServeStatus::Quarantined,
+        ] {
+            for fault in std::iter::once(None).chain(FaultKind::ALL.map(Some)) {
+                frames.push(response(status, fault));
+            }
+        }
+        for status in [
+            SwapStatus::Swapped,
+            SwapStatus::VerifyFailed,
+            SwapStatus::UnknownTenant,
+            SwapStatus::IoError,
+        ] {
+            frames.push(swap_response(status));
+        }
+        for status in [
+            PromoteStatus::Promoted,
+            PromoteStatus::NoLearner,
+            PromoteStatus::UnknownTenant,
+        ] {
+            frames.push(promote_response(status));
+        }
+        frames
+    }
+
+    type Patch = fn(&mut Vec<u8>);
+
+    /// Re-encodes `frame` with its payload edited by `patch`, refreshing
+    /// the header's length and checksum so only the payload checks can
+    /// object.
+    fn patched(frame: &Frame, patch: Patch) -> Result<(Frame, usize), WireError> {
+        let good = frame.to_bytes();
+        let mut payload = good[WIRE_HEADER_LEN..].to_vec();
+        patch(&mut payload);
+        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
+        bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        Frame::from_bytes(&bytes)
+    }
+
+    #[test]
+    fn every_frame_round_trips_and_refuses_a_flipped_payload() {
+        for frame in samples() {
             let bytes = frame.to_bytes();
             let (decoded, consumed) = Frame::from_bytes(&bytes).unwrap();
             assert_eq!(consumed, bytes.len());
             assert_eq!(decoded, frame);
             // Streaming decode agrees with buffer decode.
-            let mut cursor = std::io::Cursor::new(bytes);
-            assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(frame));
+            let mut cursor = std::io::Cursor::new(bytes.clone());
+            assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(frame.clone()));
             assert_eq!(Frame::read_from(&mut cursor).unwrap(), None);
+            if bytes.len() > WIRE_HEADER_LEN {
+                let mut flipped = bytes;
+                let last = flipped.len() - 1;
+                flipped[last] ^= 0x01;
+                assert!(
+                    matches!(
+                        Frame::from_bytes(&flipped),
+                        Err(WireError::ChecksumMismatch { .. })
+                    ),
+                    "{frame:?}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn the_header_accepts_exactly_the_kinds_frames_produce() {
+        let produced: Vec<u8> = samples().iter().map(Frame::kind).collect();
+        for k in kind::ALL {
+            assert!(produced.contains(&k), "no frame produces kind {k}");
+        }
+        let next = kind::ALL.end() + 1;
+        let mut bytes = Frame::Shutdown.to_bytes();
+        bytes[10] = next;
+        assert_eq!(
+            Frame::from_bytes(&bytes).unwrap_err(),
+            WireError::BadKind { kind: next }
+        );
     }
 
     #[test]
@@ -1080,42 +1134,20 @@ mod tests {
     }
 
     #[test]
-    fn every_ladder_status_and_fault_round_trips() {
-        let statuses = [
-            ServeStatus::Normal,
-            ServeStatus::DegradedLkg,
-            ServeStatus::DegradedBaseline,
-            ServeStatus::DegradedHold,
-            ServeStatus::Quarantined,
-        ];
-        for status in statuses {
-            for fault in std::iter::once(None).chain(FaultKind::ALL.map(Some)) {
-                let mut frame = sample_response();
-                let Frame::Response(r) = &mut frame else {
-                    unreachable!()
-                };
-                r.decision.status = status;
-                r.decision.fault = fault;
-                let (decoded, _) = Frame::from_bytes(&frame.to_bytes()).unwrap();
-                assert_eq!(decoded, frame);
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_payload_is_rejected_by_checksum() {
-        let mut bytes = sample_request().to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
+    fn oversized_text_is_cut_at_a_character_boundary() {
+        let message = "é".repeat(MAX_PAYLOAD_LEN);
+        let bytes = Frame::Error(ErrorFrame { seq: 1, message }).to_bytes();
+        assert!(bytes.len() <= WIRE_HEADER_LEN + MAX_PAYLOAD_LEN);
+        let (Frame::Error(e), _) = Frame::from_bytes(&bytes).unwrap() else {
+            panic!("kind changed in flight")
+        };
+        // 8 seq + 2 length bytes leave 65,526 for text: 32,763 "é"s.
+        assert_eq!(e.message, "é".repeat((MAX_PAYLOAD_LEN - 10) / 2));
     }
 
     #[test]
     fn corrupted_header_fields_are_rejected() {
-        let good = sample_request().to_bytes();
+        let good = request(7, "cam0").to_bytes();
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
@@ -1163,300 +1195,45 @@ mod tests {
     }
 
     #[test]
-    fn trailing_payload_bytes_are_malformed() {
-        // Hand-grow the payload while fixing length and checksum: the
-        // structure is then valid but the request has trailing garbage.
-        let Frame::Request(req) = sample_request() else {
-            unreachable!()
-        };
-        let inner = Frame::Request(req).to_bytes();
-        let mut payload = inner[WIRE_HEADER_LEN..].to_vec();
-        payload.push(0xAB);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WIRE_MAGIC);
-        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        bytes.push(1);
-        bytes.extend_from_slice(&[0u8; 5]);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn stats_frames_round_trip() {
-        let frames = [
-            Frame::Stats(StatsRequest::fleet(11, true)),
-            Frame::Stats(StatsRequest {
-                seq: 12,
-                version: STATS_VERSION,
-                flight: false,
-                tenant: Some("cam0".into()),
-            }),
-            // A future stats version decodes at the frame layer; the
-            // daemon is the one that objects.
-            Frame::Stats(StatsRequest {
-                seq: 13,
-                version: 9,
-                flight: false,
-                tenant: None,
-            }),
-            Frame::StatsResponse(StatsResponse {
-                seq: 11,
-                snapshot: "{\"schema\":1,\"label\":\"fleet\",\"events\":0,\"dropped\":[],\
-                           \"tenants\":[]}"
-                    .into(),
-            }),
-        ];
-        for frame in frames {
-            let bytes = frame.to_bytes();
-            let (decoded, consumed) = Frame::from_bytes(&bytes).unwrap();
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(decoded, frame);
-        }
-    }
-
-    #[test]
-    fn corrupt_stats_frames_are_rejected() {
-        // Payload bit flip → checksum mismatch.
-        let mut bytes = Frame::Stats(StatsRequest::fleet(1, false)).to_bytes();
-        bytes[WIRE_HEADER_LEN + 2] ^= 0x40;
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
-
-        // A truncated response payload (checksum refreshed so only the
-        // structural check can object) is malformed, not served.
-        let good = Frame::StatsResponse(StatsResponse {
+    fn patched_payloads_are_malformed() {
+        let fleet_stats = Frame::Stats(StatsRequest::fleet(3, false));
+        let stats_response = Frame::StatsResponse(StatsResponse {
             seq: 2,
-            snapshot: "{\"schema\":1}".into(),
-        })
-        .to_bytes();
-        let mut payload = good[WIRE_HEADER_LEN..].to_vec();
-        payload.truncate(payload.len() - 3); // declared text length now lies
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
-
-        // A bad flight flag is malformed.
-        let good = Frame::Stats(StatsRequest::fleet(3, false)).to_bytes();
-        let mut payload = good[WIRE_HEADER_LEN..].to_vec();
-        payload[10] = 7; // the flight byte (after seq u64 + version u16)
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn swap_db_frames_round_trip() {
-        let frames = [
-            Frame::SwapDb(SwapDbRequest {
-                seq: 21,
-                tenant: "cam0".into(),
-                expected_generation: Some(3),
-                path: "out/fleet.snap".into(),
-            }),
-            Frame::SwapDb(SwapDbRequest {
-                seq: 22,
-                tenant: "nav".into(),
-                expected_generation: None,
-                path: "/tmp/gen 4 (with spaces).snap".into(),
-            }),
-            Frame::SwapDbResponse(SwapDbResponse {
-                seq: 21,
-                tenant: "cam0".into(),
-                status: SwapStatus::Swapped,
-                generation: 3,
-            }),
-            Frame::SwapDbResponse(SwapDbResponse {
-                seq: 22,
-                tenant: "nav".into(),
-                status: SwapStatus::VerifyFailed,
-                generation: 1,
-            }),
-        ];
-        for frame in frames {
-            let bytes = frame.to_bytes();
-            let (decoded, consumed) = Frame::from_bytes(&bytes).unwrap();
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(decoded, frame);
-        }
-        // Every status code survives the wire.
-        for status in [
-            SwapStatus::Swapped,
-            SwapStatus::VerifyFailed,
-            SwapStatus::UnknownTenant,
-            SwapStatus::IoError,
-        ] {
-            assert_eq!(SwapStatus::from_code(status.code()), Some(status));
-        }
-        assert_eq!(SwapStatus::from_code(9), None);
-    }
-
-    #[test]
-    fn corrupt_swap_db_frames_are_rejected() {
-        // Payload bit flip → checksum mismatch.
-        let mut bytes = Frame::SwapDb(SwapDbRequest {
-            seq: 1,
-            tenant: "t".into(),
-            expected_generation: None,
-            path: "a.snap".into(),
-        })
-        .to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
-
-        // An empty path is malformed even with a valid checksum.
-        let good = Frame::SwapDb(SwapDbRequest {
-            seq: 1,
-            tenant: "t".into(),
-            expected_generation: None,
-            path: "x".into(),
-        })
-        .to_bytes();
-        let mut payload = good[WIRE_HEADER_LEN..].to_vec();
-        let plen = payload.len();
-        payload.truncate(plen - 1); // drop the path byte...
-        let at = payload.len() - 2;
-        payload[at..].copy_from_slice(&0u16.to_le_bytes()); // ...and declare length 0
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
-
-        // An unknown status code is malformed.
-        let good = Frame::SwapDbResponse(SwapDbResponse {
-            seq: 2,
-            tenant: "t".into(),
-            status: SwapStatus::Swapped,
-            generation: 0,
-        })
-        .to_bytes();
-        let mut payload = good[WIRE_HEADER_LEN..].to_vec();
-        let status_at = payload.len() - 9; // status byte precedes the u64 generation
-        payload[status_at] = 9;
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn promote_frames_round_trip() {
-        let frames = [
-            Frame::Promote(PromoteRequest {
-                seq: 31,
-                tenant: "cam0".into(),
-            }),
-            Frame::PromoteResponse(PromoteResponse {
-                seq: 31,
-                tenant: "cam0".into(),
-                status: PromoteStatus::Promoted,
-                promotions: 2,
-            }),
-            Frame::PromoteResponse(PromoteResponse {
-                seq: 32,
-                tenant: "nav".into(),
-                status: PromoteStatus::NoLearner,
-                promotions: 0,
-            }),
-        ];
-        for frame in frames {
-            let bytes = frame.to_bytes();
-            let (decoded, consumed) = Frame::from_bytes(&bytes).unwrap();
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(decoded, frame);
-        }
-        // Every status code survives the wire.
-        for status in [
-            PromoteStatus::Promoted,
-            PromoteStatus::NoLearner,
-            PromoteStatus::UnknownTenant,
-        ] {
-            assert_eq!(PromoteStatus::from_code(status.code()), Some(status));
-        }
-        assert_eq!(PromoteStatus::from_code(9), None);
-    }
-
-    #[test]
-    fn corrupt_promote_frames_are_rejected() {
-        // Payload bit flip → checksum mismatch.
-        let mut bytes = Frame::Promote(PromoteRequest {
-            seq: 1,
-            tenant: "t".into(),
-        })
-        .to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::ChecksumMismatch { .. })
-        ));
-
-        // An unknown status code is malformed.
-        let good = Frame::PromoteResponse(PromoteResponse {
-            seq: 2,
-            tenant: "t".into(),
-            status: PromoteStatus::Promoted,
-            promotions: 0,
-        })
-        .to_bytes();
-        let mut payload = good[WIRE_HEADER_LEN..].to_vec();
-        let status_at = payload.len() - 9; // status byte precedes the u64 count
-        payload[status_at] = 9;
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn hostile_tenant_names_are_rejected() {
-        let frame = Frame::Request(Request {
-            seq: 1,
-            tenant: "ok".into(),
-            time: 1.0,
-            spec: QosSpec::new(1.0, 0.5),
+            snapshot: "{\"schema\":2}".into(),
         });
-        let mut bytes = frame.to_bytes();
-        // Overwrite the name bytes "ok" (the final two payload bytes)
-        // with a character outside [A-Za-z0-9_-], refreshing the
-        // checksum so only the semantic check can object.
-        let len = bytes.len();
-        bytes[len - 2] = b'a';
-        bytes[len - 1] = b' ';
-        let payload = bytes[WIRE_HEADER_LEN..].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        assert!(matches!(
-            Frame::from_bytes(&bytes),
-            Err(WireError::Malformed(_))
-        ));
+        let cases: [(Frame, Patch); 8] = [
+            // Trailing garbage after a complete request.
+            (request(1, "ok"), |p| p.push(0xAB)),
+            // A name outside [A-Za-z0-9_-].
+            (request(1, "ok"), |p| *p.last_mut().unwrap() = b' '),
+            // The declared snapshot length now lies.
+            (stats_response, |p| p.truncate(p.len() - 3)),
+            // The flight byte follows seq u64 + version u16.
+            (fleet_stats, |p| p[10] = 7),
+            // An empty snapshot path: drop the byte, declare length 0.
+            (swap_db(None, "x"), |p| {
+                p.pop();
+                let at = p.len() - 2;
+                p[at..].copy_from_slice(&0u16.to_le_bytes());
+            }),
+            // A bad expected-generation presence byte (after seq u64 +
+            // the name "cam0" behind its u16 length).
+            (swap_db(Some(1), "x"), |p| p[14] = 2),
+            // Unknown status codes: the byte before the trailing u64.
+            (swap_response(SwapStatus::Swapped), |p| {
+                let at = p.len() - 9;
+                p[at] = 9;
+            }),
+            (promote_response(PromoteStatus::Promoted), |p| {
+                let at = p.len() - 9;
+                p[at] = 9;
+            }),
+        ];
+        for (frame, patch) in cases {
+            assert!(
+                matches!(patched(&frame, patch), Err(WireError::Malformed(_))),
+                "{frame:?}"
+            );
+        }
     }
 }

@@ -24,13 +24,11 @@
 
 mod approx;
 mod distributions;
-mod histogram;
 mod special;
 mod summary;
 
 pub use approx::{approx_eq, approx_eq_probability, approx_eq_time, EPS_PROBABILITY, EPS_TIME};
 pub use distributions::{BivariateNormal, DistributionError, Exponential, Normal};
-pub use histogram::{percentile, Histogram};
 pub use special::{gamma, ln_gamma};
 pub use summary::{normalize, Normalizer, Summary};
 
