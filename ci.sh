@@ -33,7 +33,9 @@
 #                                    replay it at CLR_THREADS=1 and 8: the
 #                                    decision CSVs and journals must be
 #                                    byte-identical, and the journal must
-#                                    pass the CLR05x lints
+#                                    pass the CLR05x lints; a third replay
+#                                    without --out-dir must print the same
+#                                    CSV bytes on stdout
 #   9. clr-chaos campaign smoke    — audit a seeded fault plan (clr-verify
 #                                    plan, CLR070), then run a reduced chaos
 #                                    campaign over the preset fleet at
@@ -196,6 +198,10 @@ cmp "$OUT1/decisions.csv" "$OUT8/decisions.csv" \
   || { echo "decision outputs diverged across thread counts"; exit 1; }
 cmp "$OUT1/replay.obs.jsonl" "$OUT8/replay.obs.jsonl" \
   || { echo "replay journals diverged across thread counts"; exit 1; }
+STDOUT_CSV=target/ci-serve-stdout.csv
+CLR_THREADS=1 "$SERVE" replay --trace "$TRACE" "${FLEET[@]}" > "$STDOUT_CSV" 2>/dev/null
+cmp "$OUT1/decisions.csv" "$STDOUT_CSV" \
+  || { echo "stdout and --out-dir decision CSVs diverged"; exit 1; }
 "$VERIFY" journal "$OUT8/replay.obs.jsonl"
 
 step "clr-chaos campaign (fault-injection survival, thread-count byte-compare)"

@@ -5,11 +5,15 @@
 //! the journal) and `type`. Encoding is deterministic down to the byte —
 //! floats use Rust's shortest-round-trip formatting — so two runs that
 //! emit the same events produce identical files, which is the foundation
-//! of the thread-count byte-compare gate. [`Event::from_json_line`]
-//! inverts [`Event::to_json_line`] exactly; the `clr-verify` journal
-//! round-trip lint re-encodes each parsed line and compares bytes.
+//! of the thread-count byte-compare gate. [`Event::write_json_line`]
+//! appends a line to a caller-owned buffer, so a whole journal renders
+//! into one `String`; [`Event::from_json_line`] inverts it exactly, and
+//! the `clr-verify` journal round-trip lint re-encodes each parsed line
+//! and compares bytes.
 
-use crate::json::{self, fmt_f64, fmt_f64_array, fmt_opt_f64, fmt_u64_array, Value};
+use std::fmt::Write as _;
+
+use crate::json::{self, Value};
 
 /// Version stamped into every journal's leading `meta` event; bump when
 /// the schema of any event changes shape. Version 2 added the `db_swap`
@@ -316,12 +320,23 @@ impl Event {
     }
 
     /// Encodes the event as one JSONL line (no trailing newline) with the
-    /// given sequence number.
+    /// given sequence number; a fresh-`String` wrapper over
+    /// [`Event::write_json_line`].
     pub fn to_json_line(&self, seq: u64) -> String {
-        let head = format!("{{\"seq\":{seq},\"type\":\"{}\"", self.type_tag());
-        let body = match self {
+        let mut out = String::new();
+        self.write_json_line(seq, &mut out);
+        out
+    }
+
+    /// Appends the event's JSONL line (no trailing newline) with the given
+    /// sequence number to `out`, allocating nothing beyond `out`'s own
+    /// growth — the writer behind every journal renderer.
+    pub fn write_json_line(&self, seq: u64, out: &mut String) {
+        let _ = write!(out, "{{\"seq\":{seq},\"type\":\"{}\"", self.type_tag());
+        let mut f = Fields(out);
+        match self {
             Event::Meta { label, schema } => {
-                format!(",\"label\":{},\"schema\":{schema}", json::escape(label))
+                f.str("label", label).raw("schema", schema);
             }
             Event::GaGen {
                 algo,
@@ -332,31 +347,40 @@ impl Event {
                 front,
                 archive,
                 hv,
-            } => format!(
-                ",\"algo\":{},\"label\":{},\"gen\":{gen},\"evals\":{evals},\"feasible\":{feasible},\"front\":{front},\"archive\":{archive},\"hv\":{}",
-                json::escape(algo),
-                json::escape(label),
-                fmt_opt_f64(*hv)
-            ),
+            } => {
+                f.str("algo", algo)
+                    .str("label", label)
+                    .raw("gen", gen)
+                    .raw("evals", evals)
+                    .raw("feasible", feasible)
+                    .raw("front", front)
+                    .raw("archive", archive)
+                    .opt_f64("hv", *hv);
+            }
             Event::DseStage { stage, points } => {
-                format!(",\"stage\":{},\"points\":{points}", json::escape(stage))
+                f.str("stage", stage).raw("points", points);
             }
             Event::RedSeed {
                 index,
                 candidates,
                 kept,
-            } => format!(",\"index\":{index},\"candidates\":{candidates},\"kept\":{kept}"),
+            } => {
+                f.raw("index", index)
+                    .raw("candidates", candidates)
+                    .raw("kept", kept);
+            }
             Event::Episode { index, steps, ret } => {
-                format!(",\"index\":{index},\"steps\":{steps},\"ret\":{}", fmt_f64(*ret))
+                f.raw("index", index).raw("steps", steps).f64("ret", *ret);
             }
             Event::SimStart {
                 label,
                 points,
                 seed,
-            } => format!(
-                ",\"label\":{},\"points\":{points},\"seed\":{seed}",
-                json::escape(label)
-            ),
+            } => {
+                f.str("label", label)
+                    .raw("points", points)
+                    .raw("seed", seed);
+            }
             Event::Decision {
                 event,
                 cycle,
@@ -367,34 +391,41 @@ impl Event {
                 score,
                 p_rc,
                 violated,
-            } => format!(
-                ",\"event\":{event},\"cycle\":{},\"feasible\":{feasible},\"from\":{from},\"to\":{to},\"drc\":{},\"score\":{},\"p_rc\":{},\"violated\":{violated}",
-                fmt_f64(*cycle),
-                fmt_f64(*drc),
-                fmt_opt_f64(*score),
-                fmt_opt_f64(*p_rc)
-            ),
+            } => {
+                f.raw("event", event)
+                    .f64("cycle", *cycle)
+                    .raw("feasible", feasible)
+                    .raw("from", from)
+                    .raw("to", to)
+                    .f64("drc", *drc)
+                    .opt_f64("score", *score)
+                    .opt_f64("p_rc", *p_rc)
+                    .raw("violated", violated);
+            }
             Event::SimEnd {
                 label,
                 events,
                 reconfigurations,
                 violations,
                 total_drc,
-            } => format!(
-                ",\"label\":{},\"events\":{events},\"reconfigurations\":{reconfigurations},\"violations\":{violations},\"total_drc\":{}",
-                json::escape(label),
-                fmt_f64(*total_drc)
-            ),
+            } => {
+                f.str("label", label)
+                    .raw("events", events)
+                    .raw("reconfigurations", reconfigurations)
+                    .raw("violations", violations)
+                    .f64("total_drc", *total_drc);
+            }
             Event::Inject {
                 label,
                 trials,
                 errors,
                 err_prob,
-            } => format!(
-                ",\"label\":{},\"trials\":{trials},\"errors\":{errors},\"err_prob\":{}",
-                json::escape(label),
-                fmt_f64(*err_prob)
-            ),
+            } => {
+                f.str("label", label)
+                    .raw("trials", trials)
+                    .raw("errors", errors)
+                    .f64("err_prob", *err_prob);
+            }
             Event::Fault {
                 label,
                 layer,
@@ -402,14 +433,14 @@ impl Event {
                 tenant,
                 event,
                 action,
-            } => format!(
-                ",\"label\":{},\"layer\":{},\"kind\":{},\"tenant\":{},\"event\":{event},\"action\":{}",
-                json::escape(label),
-                json::escape(layer),
-                json::escape(kind),
-                json::escape(tenant),
-                json::escape(action)
-            ),
+            } => {
+                f.str("label", label)
+                    .str("layer", layer)
+                    .str("kind", kind)
+                    .str("tenant", tenant)
+                    .raw("event", event)
+                    .str("action", action);
+            }
             Event::DbSwap {
                 label,
                 tenant,
@@ -418,12 +449,15 @@ impl Event {
                 to_gen,
                 points,
                 status,
-            } => format!(
-                ",\"label\":{},\"tenant\":{},\"event\":{event},\"from_gen\":{from_gen},\"to_gen\":{to_gen},\"points\":{points},\"status\":{}",
-                json::escape(label),
-                json::escape(tenant),
-                json::escape(status)
-            ),
+            } => {
+                f.str("label", label)
+                    .str("tenant", tenant)
+                    .raw("event", event)
+                    .raw("from_gen", from_gen)
+                    .raw("to_gen", to_gen)
+                    .raw("points", points)
+                    .str("status", status);
+            }
             Event::Shadow {
                 label,
                 tenant,
@@ -434,44 +468,46 @@ impl Event {
                 shadow_choice,
                 live_regret,
                 shadow_regret,
-            } => format!(
-                ",\"label\":{},\"tenant\":{},\"event\":{event},\"variant\":{},\"serving\":{},\"live_choice\":{live_choice},\"shadow_choice\":{shadow_choice},\"live_regret\":{},\"shadow_regret\":{}",
-                json::escape(label),
-                json::escape(tenant),
-                json::escape(variant),
-                json::escape(serving),
-                fmt_f64(*live_regret),
-                fmt_f64(*shadow_regret)
-            ),
+            } => {
+                f.str("label", label)
+                    .str("tenant", tenant)
+                    .raw("event", event)
+                    .str("variant", variant)
+                    .str("serving", serving)
+                    .raw("live_choice", live_choice)
+                    .raw("shadow_choice", shadow_choice)
+                    .f64("live_regret", *live_regret)
+                    .f64("shadow_regret", *shadow_regret);
+            }
             Event::Promote {
                 label,
                 tenant,
                 event,
                 promotions,
                 status,
-            } => format!(
-                ",\"label\":{},\"tenant\":{},\"event\":{event},\"promotions\":{promotions},\"status\":{}",
-                json::escape(label),
-                json::escape(tenant),
-                json::escape(status)
-            ),
+            } => {
+                f.str("label", label)
+                    .str("tenant", tenant)
+                    .raw("event", event)
+                    .raw("promotions", promotions)
+                    .str("status", status);
+            }
             Event::Span {
                 label,
                 clock,
                 start,
                 end,
-            } => format!(
-                ",\"label\":{},\"clock\":{},\"start\":{},\"end\":{}",
-                json::escape(label),
-                json::escape(clock),
-                fmt_f64(*start),
-                fmt_f64(*end)
-            ),
+            } => {
+                f.str("label", label)
+                    .str("clock", clock)
+                    .f64("start", *start)
+                    .f64("end", *end);
+            }
             Event::Counter { name, value } => {
-                format!(",\"name\":{},\"value\":{value}", json::escape(name))
+                f.str("name", name).raw("value", value);
             }
             Event::Gauge { name, value } => {
-                format!(",\"name\":{},\"value\":{}", json::escape(name), fmt_f64(*value))
+                f.str("name", name).f64("value", *value);
             }
             Event::Histogram {
                 name,
@@ -480,30 +516,32 @@ impl Event {
                 total,
                 min,
                 max,
-            } => format!(
-                ",\"name\":{},\"bounds\":{},\"counts\":{},\"total\":{total},\"min\":{},\"max\":{}",
-                json::escape(name),
-                fmt_f64_array(bounds),
-                fmt_u64_array(counts),
-                fmt_opt_f64(*min),
-                fmt_opt_f64(*max)
-            ),
+            } => {
+                f.str("name", name)
+                    .f64s("bounds", bounds)
+                    .u64s("counts", counts)
+                    .raw("total", total)
+                    .opt_f64("min", *min)
+                    .opt_f64("max", *max);
+            }
             Event::Pool {
                 site,
                 items,
                 workers,
                 per_worker,
                 queue_hwm,
-            } => format!(
-                ",\"site\":{},\"items\":{items},\"workers\":{workers},\"per_worker\":{},\"queue_hwm\":{queue_hwm}",
-                json::escape(site),
-                fmt_u64_array(per_worker)
-            ),
-            Event::Wall { label, nanos } => {
-                format!(",\"label\":{},\"nanos\":{nanos}", json::escape(label))
+            } => {
+                f.str("site", site)
+                    .raw("items", items)
+                    .raw("workers", workers)
+                    .u64s("per_worker", per_worker)
+                    .raw("queue_hwm", queue_hwm);
             }
-        };
-        format!("{head}{body}}}")
+            Event::Wall { label, nanos } => {
+                f.str("label", label).raw("nanos", nanos);
+            }
+        }
+        out.push('}');
     }
 
     /// Parses one JSONL line produced by [`Event::to_json_line`],
@@ -721,6 +759,51 @@ impl Event {
             other => return Err(format!("unknown event type {other:?}")),
         };
         Ok((seq, event))
+    }
+}
+
+/// Appends `,"key":value` members to one journal object; keys are
+/// static schema names and never need escaping.
+struct Fields<'a>(&'a mut String);
+
+impl Fields<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self.0
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        json::write_str(self.key(key), v);
+        self
+    }
+
+    /// A value whose `Display` form is already its JSON token: integers
+    /// and booleans.
+    fn raw(&mut self, key: &str, v: impl std::fmt::Display) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+        json::write_f64(self.key(key), v);
+        self
+    }
+
+    fn opt_f64(&mut self, key: &str, v: Option<f64>) -> &mut Self {
+        json::write_opt_f64(self.key(key), v);
+        self
+    }
+
+    fn f64s(&mut self, key: &str, v: &[f64]) -> &mut Self {
+        json::write_f64_array(self.key(key), v);
+        self
+    }
+
+    fn u64s(&mut self, key: &str, v: &[u64]) -> &mut Self {
+        json::write_u64_array(self.key(key), v);
+        self
     }
 }
 

@@ -88,53 +88,76 @@ impl Value {
     }
 }
 
-/// Escapes and quotes `s` as a JSON string token.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a quoted, escaped JSON string token.
+///
+/// Unescaped runs are copied whole; only `"`, `\\` and control
+/// characters are rewritten. Every byte that needs an escape is ASCII, so
+/// scanning bytes never splits a multi-byte character.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
-/// Formats an `f64` deterministically: Rust's shortest-round-trip
+/// Appends an `f64` deterministically: Rust's shortest-round-trip
 /// `Display` for finite values, `null` otherwise (the journal schema
 /// treats non-finite measurements as absent).
-pub fn fmt_f64(x: f64) -> String {
+pub fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-/// Formats an optional `f64` (`None` → `null`).
-pub fn fmt_opt_f64(x: Option<f64>) -> String {
-    x.map_or_else(|| "null".to_string(), fmt_f64)
+/// Appends an optional `f64` (`None` → `null`).
+pub fn write_opt_f64(out: &mut String, x: Option<f64>) {
+    match x {
+        Some(x) => write_f64(out, x),
+        None => out.push_str("null"),
+    }
 }
 
-/// Formats a slice of `f64` as a JSON array.
-pub fn fmt_f64_array(xs: &[f64]) -> String {
-    let items: Vec<String> = xs.iter().map(|&x| fmt_f64(x)).collect();
-    format!("[{}]", items.join(","))
+/// Appends a slice of `f64` as a JSON array.
+pub fn write_f64_array(out: &mut String, xs: &[f64]) {
+    out.push('[');
+    for (i, &x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_f64(out, x);
+    }
+    out.push(']');
 }
 
-/// Formats a slice of `u64` as a JSON array.
-pub fn fmt_u64_array(xs: &[u64]) -> String {
-    let items: Vec<String> = xs.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
+/// Appends a slice of `u64` as a JSON array.
+pub fn write_u64_array(out: &mut String, xs: &[u64]) {
+    out.push('[');
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{x}");
+    }
+    out.push(']');
 }
 
 /// Parses one JSON document.
@@ -332,16 +355,23 @@ mod tests {
     #[test]
     fn escape_round_trips() {
         let s = "quote \" backslash \\ tab \t unicode \u{1}";
-        let v = parse(&escape(s)).unwrap();
+        let mut out = String::new();
+        write_str(&mut out, s);
+        let v = parse(&out).unwrap();
         assert_eq!(v.as_str(), Some(s));
     }
 
     #[test]
     fn float_formatting_is_shortest_round_trip() {
-        assert_eq!(fmt_f64(1.0), "1");
-        assert_eq!(fmt_f64(0.1), "0.1");
-        assert_eq!(fmt_f64(f64::NAN), "null");
+        let fmt = |x| {
+            let mut out = String::new();
+            write_f64(&mut out, x);
+            out
+        };
+        assert_eq!(fmt(1.0), "1");
+        assert_eq!(fmt(0.1), "0.1");
+        assert_eq!(fmt(f64::NAN), "null");
         let x = 1.0 / 3.0;
-        assert_eq!(fmt_f64(x).parse::<f64>().unwrap(), x);
+        assert_eq!(fmt(x).parse::<f64>().unwrap(), x);
     }
 }

@@ -55,6 +55,7 @@ pub use telemetry::{
     WindowStat, TELEMETRY_SCHEMA_VERSION,
 };
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -196,6 +197,21 @@ impl Obs {
         }
     }
 
+    /// Records every value of `values` into histogram `name` under one
+    /// lock (no-op when disabled); the same snapshot as one
+    /// [`Obs::histogram_record`] per value, and an empty `values` leaves
+    /// the histogram untouched.
+    pub fn histogram_record_all(
+        &self,
+        name: &'static str,
+        bounds: &'static [f64],
+        values: impl IntoIterator<Item = f64>,
+    ) {
+        if let Some(inner) = &self.0 {
+            inner.recorder.histogram_record_all(name, bounds, values);
+        }
+    }
+
     /// Starts a wall-clock timer that emits a [`Event::Wall`] into the
     /// non-deterministic section when dropped. Inert when disabled.
     pub fn wall_timer(&self, label: &str) -> WallTimer {
@@ -238,23 +254,16 @@ impl Obs {
             .journal
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = String::new();
-        let mut seq: u64 = 0;
-        let push = |out: &mut String, e: &Event, seq: &mut u64| {
-            out.push_str(&e.to_json_line(*seq));
-            out.push('\n');
-            *seq += 1;
-        };
         let meta = Event::Meta {
             label: label.to_string(),
             schema: SCHEMA_VERSION,
         };
-        push(&mut out, &meta, &mut seq);
-        for e in &journal.det {
-            push(&mut out, e, &mut seq);
-        }
-        for e in inner.recorder.snapshot_events() {
-            push(&mut out, &e, &mut seq);
+        let snapshot = inner.recorder.snapshot_events();
+        let mut out = String::new();
+        let events = std::iter::once(&meta).chain(&journal.det).chain(&snapshot);
+        for (seq, e) in (0u64..).zip(events) {
+            e.write_json_line(seq, &mut out);
+            out.push('\n');
         }
         out
     }
@@ -270,8 +279,8 @@ impl Obs {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut out = String::new();
-        for (seq, e) in journal.nondet.iter().enumerate() {
-            out.push_str(&e.to_json_line(seq as u64));
+        for (seq, e) in (0u64..).zip(&journal.nondet) {
+            e.write_json_line(seq, &mut out);
             out.push('\n');
         }
         out
@@ -289,37 +298,55 @@ impl Obs {
             .journal
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut items: Vec<String> = Vec::new();
+        let mut out = String::from("{\"traceEvents\":[");
         for e in &journal.det {
+            // Items are objects, so a `}` before this one needs a comma.
+            let comma = if out.ends_with('}') { "," } else { "" };
             match e {
                 Event::Span {
                     label,
                     clock,
                     start,
                     end,
-                } => items.push(format!(
-                    "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{}}}",
-                    json::escape(label),
-                    json::escape(clock),
-                    json::fmt_f64(*start),
-                    json::fmt_f64((end - start).max(0.0))
-                )),
+                } => {
+                    let _ = write!(out, "{comma}{{\"name\":");
+                    json::write_str(&mut out, label);
+                    out.push_str(",\"cat\":");
+                    json::write_str(&mut out, clock);
+                    out.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":");
+                    json::write_f64(&mut out, *start);
+                    out.push_str(",\"dur\":");
+                    json::write_f64(&mut out, (end - start).max(0.0));
+                    out.push('}');
+                }
                 Event::GaGen {
                     algo, label, gen, ..
-                } => items.push(format!(
-                    "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":{gen},\"dur\":1}}",
-                    json::escape(&format!("{label}/g{gen}")),
-                    json::escape(algo)
-                )),
-                Event::Decision { cycle, to, .. } => items.push(format!(
-                    "{{\"name\":{},\"cat\":\"decision\",\"ph\":\"i\",\"pid\":1,\"tid\":3,\"ts\":{},\"s\":\"t\"}}",
-                    json::escape(&format!("to{to}")),
-                    json::fmt_f64(*cycle)
-                )),
+                } => {
+                    // The name is `<label>/g<gen>`: the escaped label with
+                    // its closing quote reopened for the plain suffix.
+                    let _ = write!(out, "{comma}{{\"name\":");
+                    json::write_str(&mut out, label);
+                    out.pop();
+                    let _ = write!(out, "/g{gen}\",\"cat\":");
+                    json::write_str(&mut out, algo);
+                    let _ = write!(
+                        out,
+                        ",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":{gen},\"dur\":1}}"
+                    );
+                }
+                Event::Decision { cycle, to, .. } => {
+                    let _ = write!(
+                        out,
+                        "{comma}{{\"name\":\"to{to}\",\"cat\":\"decision\",\"ph\":\"i\",\"pid\":1,\"tid\":3,\"ts\":"
+                    );
+                    json::write_f64(&mut out, *cycle);
+                    out.push_str(",\"s\":\"t\"}");
+                }
                 _ => {}
             }
         }
-        format!("{{\"traceEvents\":[{}]}}\n", items.join(","))
+        out.push_str("]}\n");
+        out
     }
 
     /// Writes the journal files into `dir` using `name` as the file stem:

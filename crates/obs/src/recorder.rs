@@ -110,6 +110,25 @@ impl Recorder {
     ///
     /// Commutative: safe to call from worker threads.
     pub fn histogram_record(&self, name: &'static str, bounds: &'static [f64], value: f64) {
+        self.histogram_record_all(name, bounds, [value]);
+    }
+
+    /// Records every value of `values` into the histogram `name` under one
+    /// shard lock — the same final state as one
+    /// [`Recorder::histogram_record`] per value. An empty `values` leaves
+    /// the histogram untouched (and unlisted if it never was).
+    ///
+    /// Commutative: safe to call from worker threads.
+    pub fn histogram_record_all(
+        &self,
+        name: &'static str,
+        bounds: &'static [f64],
+        values: impl IntoIterator<Item = f64>,
+    ) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
         let empty = Cell::Hist {
             bounds,
             counts: vec![0; bounds.len() + 1],
@@ -126,14 +145,16 @@ impl Recorder {
                 max,
             } = cell
             {
-                let bucket = bounds
-                    .iter()
-                    .position(|&b| value <= b)
-                    .unwrap_or(bounds.len());
-                counts[bucket] += 1;
-                *total += 1;
-                *min = min.min(value);
-                *max = max.max(value);
+                for value in values {
+                    let bucket = bounds
+                        .iter()
+                        .position(|&b| value <= b)
+                        .unwrap_or(bounds.len());
+                    counts[bucket] += 1;
+                    *total += 1;
+                    *min = min.min(value);
+                    *max = max.max(value);
+                }
             }
         });
     }
@@ -236,6 +257,20 @@ mod tests {
                 max: Some(500.0),
             }]
         );
+    }
+
+    #[test]
+    fn batch_recording_matches_one_record_per_value() {
+        static BOUNDS: [f64; 3] = [1.0, 10.0, 100.0];
+        let values = [0.5, f64::NAN, 5.0, f64::INFINITY, -0.0, 50.0];
+        let one = Recorder::new();
+        for v in values {
+            one.histogram_record("h", &BOUNDS, v);
+        }
+        let all = Recorder::new();
+        all.histogram_record_all("h", &BOUNDS, values);
+        all.histogram_record_all("untouched", &BOUNDS, []);
+        assert_eq!(all.snapshot_events(), one.snapshot_events());
     }
 
     #[test]

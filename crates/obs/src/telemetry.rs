@@ -11,6 +11,8 @@
 //! are byte-identical whenever the same events were observed in the
 //! same per-tenant order.
 
+use std::fmt::Write as _;
+
 use crate::json::{self, Value};
 
 /// Version stamp written into every [`TelemetrySnapshot`]; decoders
@@ -578,17 +580,11 @@ impl TelemetrySnapshot {
     /// trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.tenants.len() * 512);
-        out.push_str(&format!(
-            "{{\"schema\":{},\"label\":{},\"events\":{},\"dropped\":[",
-            self.schema,
-            json::escape(&self.label),
-            self.events
-        ));
+        let _ = write!(out, "{{\"schema\":{},\"label\":", self.schema);
+        json::write_str(&mut out, &self.label);
+        let _ = write!(out, ",\"events\":{},\"dropped\":[", self.events);
         for (i, (name, n)) in self.dropped.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", json::escape(name), n));
+            write_pair(&mut out, i, name, n);
         }
         out.push_str("],\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
@@ -651,56 +647,59 @@ impl TelemetrySnapshot {
     }
 }
 
+/// Appends the `i`-th `[name,value]` pair of a sparse list (with its
+/// leading comma after the first).
+fn write_pair(out: &mut String, i: usize, name: &str, value: impl std::fmt::Display) {
+    if i > 0 {
+        out.push(',');
+    }
+    out.push('[');
+    json::write_str(out, name);
+    let _ = write!(out, ",{value}]");
+}
+
 fn encode_tenant(out: &mut String, t: &TenantTelemetry) {
-    out.push_str(&format!(
-        "{{\"name\":{},\"events\":{},\"status\":{},\"generation\":{},\"counters\":[",
-        json::escape(&t.name),
-        t.events,
-        json::escape(&t.status),
-        t.generation
-    ));
+    out.push_str("{\"name\":");
+    json::write_str(out, &t.name);
+    let _ = write!(out, ",\"events\":{},\"status\":", t.events);
+    json::write_str(out, &t.status);
+    let _ = write!(out, ",\"generation\":{},\"counters\":[", t.generation);
     for (i, (name, v)) in t.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{},{}]", json::escape(name), v));
+        write_pair(out, i, name, v);
     }
     out.push_str("],\"windows\":[");
     for (i, (name, s)) in t.windows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "[{},{{\"window\":{},\"index\":{},\"len\":{},\"sum\":{}}}]",
-            json::escape(name),
-            s.window,
-            s.index,
-            s.len,
-            json::fmt_f64(s.sum)
-        ));
+        out.push('[');
+        json::write_str(out, name);
+        let _ = write!(
+            out,
+            ",{{\"window\":{},\"index\":{},\"len\":{},\"sum\":",
+            s.window, s.index, s.len
+        );
+        json::write_f64(out, s.sum);
+        out.push_str("}]");
     }
     out.push_str("],\"histograms\":[");
     for (i, (name, h)) in t.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "[{},{{\"total\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            json::escape(name),
-            h.total,
-            json::fmt_opt_f64(h.min_value()),
-            json::fmt_opt_f64(h.max_value())
-        ));
-        let mut first = true;
-        for (idx, &c) in h.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
+        out.push('[');
+        json::write_str(out, name);
+        let _ = write!(out, ",{{\"total\":{},\"min\":", h.total);
+        json::write_opt_f64(out, h.min_value());
+        out.push_str(",\"max\":");
+        json::write_opt_f64(out, h.max_value());
+        out.push_str(",\"buckets\":[");
+        let buckets = h.counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+        for (i, (idx, c)) in buckets.enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str(&format!("[{idx},{c}]"));
+            let _ = write!(out, "[{idx},{c}]");
         }
         out.push_str("]}]");
     }
@@ -709,7 +708,7 @@ fn encode_tenant(out: &mut String, t: &TenantTelemetry) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json::escape(row));
+        json::write_str(out, row);
     }
     out.push_str("]}");
 }

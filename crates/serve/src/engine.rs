@@ -325,57 +325,6 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Renders the shared per-tenant summary (one line per tenant, fleet
-/// order) plus a trailing dropped-events warning when any event
-/// addressed a tenant absent from the fleet. Malformed-timestamp
-/// absorptions come from the same [`TenantOutcome::health`] registry
-/// the telemetry snapshot reports, so the CLI summary and `stats` can
-/// never disagree.
-pub fn summary_lines(
-    outcomes: &[TenantOutcome],
-    dropped_by_tenant: &[(String, usize)],
-) -> Vec<String> {
-    let malformed_slot = FaultKind::ALL
-        .iter()
-        .position(|k| *k == FaultKind::TraceMalformed)
-        .unwrap_or(0);
-    let mut lines: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            let mut line = format!(
-                "tenant {} (gen {}): {} events, {} reconfigurations, {} violations, total dRC {}",
-                o.name, o.generation, o.events, o.reconfigurations, o.violations, o.total_drc
-            );
-            let malformed = o.health.faults_by_kind[malformed_slot];
-            if malformed > 0 {
-                let _ = write!(line, ", {malformed} malformed");
-            }
-            if !o.swaps.is_empty() {
-                let applied = o
-                    .swaps
-                    .iter()
-                    .filter(|s| s.status == SwapStatus::Swapped)
-                    .count();
-                let _ = write!(line, ", {}/{} swaps applied", applied, o.swaps.len());
-            }
-            line
-        })
-        .collect();
-    let dropped: usize = dropped_by_tenant.iter().map(|(_, n)| n).sum();
-    if dropped > 0 {
-        let names: Vec<String> = dropped_by_tenant
-            .iter()
-            .map(|(name, count)| format!("{name:?} ({count})"))
-            .collect();
-        lines.push(format!(
-            "warning: {dropped} events dropped — trace addresses tenants absent \
-             from the fleet: {}",
-            names.join(", ")
-        ));
-    }
-    lines
-}
-
 /// Header line of the decision CSV (shared by [`ReplayReport::decisions_csv`]
 /// and `clr-serve wire-decode`, so the two outputs stay byte-comparable).
 pub const DECISIONS_CSV_HEADER: &str =
@@ -385,10 +334,18 @@ impl DecisionRecord {
     /// Renders this decision as one CSV row (no trailing newline), in
     /// the [`DECISIONS_CSV_HEADER`] column order.
     pub fn csv_row(&self, tenant: &str) -> String {
-        let opt = |x: Option<f64>| x.map(|v| format!("{v}")).unwrap_or_default();
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            tenant,
+        let mut row = String::new();
+        self.write_csv_row(tenant, &mut row);
+        row
+    }
+
+    /// Appends this decision's CSV row (no trailing newline) to `out` —
+    /// the one row writer behind [`ReplayReport::decisions_csv`], the
+    /// flight recorder and `clr-serve wire-decode`.
+    pub fn write_csv_row(&self, tenant: &str, out: &mut String) {
+        let _ = write!(
+            out,
+            "{tenant},{},{},{},{},{},{},{},{},",
             self.event,
             self.time,
             self.spec.max_makespan,
@@ -396,12 +353,16 @@ impl DecisionRecord {
             self.feasible,
             self.from,
             self.to,
-            self.drc,
-            opt(self.score),
-            opt(self.p_rc),
-            self.violated,
-            self.status.as_str()
-        )
+            self.drc
+        );
+        if let Some(score) = self.score {
+            let _ = write!(out, "{score}");
+        }
+        out.push(',');
+        if let Some(p_rc) = self.p_rc {
+            let _ = write!(out, "{p_rc}");
+        }
+        let _ = write!(out, ",{},{}", self.violated, self.status.as_str());
     }
 }
 
@@ -441,13 +402,55 @@ impl ReplayReport {
         self.outcomes.iter().map(TenantOutcome::served).sum()
     }
 
-    /// The shared CLI summary: one line per tenant plus (when events
-    /// were dropped) a trailing warning line, fed from the same
-    /// [`TenantOutcome::health`] registries the telemetry snapshot
-    /// reports — `clr-serve replay` and `clr-served` print these
+    /// The shared CLI summary: one line per tenant (fleet order) plus,
+    /// when any event addressed a tenant absent from the fleet, a
+    /// trailing dropped-events warning. Malformed-timestamp absorptions
+    /// come from the same [`TenantOutcome::health`] registries the
+    /// telemetry snapshot reports, so the CLI summary and `stats` can
+    /// never disagree — `clr-serve replay` and `clr-served` print these
     /// verbatim (with their own program prefix on the warning).
     pub fn summary_lines(&self) -> Vec<String> {
-        summary_lines(&self.outcomes, &self.dropped_by_tenant)
+        let malformed_slot = FaultKind::ALL
+            .iter()
+            .position(|k| *k == FaultKind::TraceMalformed)
+            .unwrap_or(0);
+        let mut lines: Vec<String> = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                let mut line = format!(
+                    "tenant {} (gen {}): {} events, {} reconfigurations, {} violations, total dRC {}",
+                    o.name, o.generation, o.events, o.reconfigurations, o.violations, o.total_drc
+                );
+                let malformed = o.health.faults_by_kind[malformed_slot];
+                if malformed > 0 {
+                    let _ = write!(line, ", {malformed} malformed");
+                }
+                if !o.swaps.is_empty() {
+                    let applied = o
+                        .swaps
+                        .iter()
+                        .filter(|s| s.status == SwapStatus::Swapped)
+                        .count();
+                    let _ = write!(line, ", {}/{} swaps applied", applied, o.swaps.len());
+                }
+                line
+            })
+            .collect();
+        let dropped: usize = self.dropped_by_tenant.iter().map(|(_, n)| n).sum();
+        if dropped > 0 {
+            let names: Vec<String> = self
+                .dropped_by_tenant
+                .iter()
+                .map(|(name, count)| format!("{name:?} ({count})"))
+                .collect();
+            lines.push(format!(
+                "warning: {dropped} events dropped — trace addresses tenants absent \
+                 from the fleet: {}",
+                names.join(", ")
+            ));
+        }
+        lines
     }
 
     /// Renders the A/B rollout report: per learning tenant one line
@@ -555,7 +558,8 @@ impl ReplayReport {
         out.push('\n');
         for o in &self.outcomes {
             for d in &o.decisions {
-                let _ = writeln!(out, "{}", d.csv_row(&o.name));
+                d.write_csv_row(&o.name, &mut out);
+                out.push('\n');
             }
         }
         out
@@ -566,10 +570,17 @@ impl ReplayReport {
     /// event, plus `serve.*` recorder metrics. Call from serial code only
     /// (the deterministic-section contract); [`replay`] has already
     /// collected the outcomes, so this is pure iteration.
+    ///
+    /// The per-decision `serve.*` counters are tallied locally and added
+    /// once per replay, the `serve.drc` samples once per tenant: counter
+    /// adds and histogram records commute, so the snapshot equals
+    /// per-decision recording, and a count of zero is never added
+    /// because the recorder lists every counter ever touched.
     pub fn emit_obs(&self, obs: &Obs) {
         if !obs.enabled() {
             return;
         }
+        let mut tally = ServeTally::default();
         for o in &self.outcomes {
             obs.emit(Event::SimStart {
                 label: o.name.clone(),
@@ -589,10 +600,6 @@ impl ReplayReport {
                     points: s.points,
                     status: s.status.label().to_string(),
                 });
-                obs.counter_add("serve.db_swaps", 1);
-                if s.status == SwapStatus::Swapped {
-                    obs.counter_add("serve.db_swaps.applied", 1);
-                }
             };
             // Promotions share the swaps' stream-position semantics; a
             // shadow evaluation belongs to exactly one decision and is
@@ -605,10 +612,6 @@ impl ReplayReport {
                     promotions: p.promotions,
                     status: p.status.label().to_string(),
                 });
-                obs.counter_add("serve.promotes", 1);
-                if p.status == PromoteStatus::Promoted {
-                    obs.counter_add("serve.promotes.applied", 1);
-                }
             };
             let mut swaps = o.swaps.iter().peekable();
             let mut promotes = o.promotes.iter().peekable();
@@ -644,14 +647,9 @@ impl ReplayReport {
                         shadow_regret: s.shadow_regret,
                     });
                 }
-                obs.counter_add("serve.events", 1);
-                if d.to != d.from {
-                    obs.counter_add("serve.reconfigurations", 1);
-                }
-                if d.violated {
-                    obs.counter_add("serve.violations", 1);
-                }
-                obs.histogram_record("serve.drc", &DRC_BUCKET_BOUNDS, d.drc);
+                tally.reconfigurations += usize::from(d.to != d.from);
+                tally.violations += usize::from(d.violated);
+                tally.degraded += usize::from(d.status.is_degraded());
                 // One `fault` journal event per absorbed fault (the
                 // rung that served it is the action) and one per
                 // quarantined event — `clr-verify` cross-checks these
@@ -665,8 +663,7 @@ impl ReplayReport {
                         event: d.event,
                         action: d.status.as_str().to_string(),
                     });
-                    obs.counter_add("serve.faults.injected", 1);
-                    obs.counter_add("serve.faults.absorbed", 1);
+                    tally.faults += 1;
                 }
                 if d.status == ServeStatus::Quarantined {
                     obs.emit(Event::Fault {
@@ -677,18 +674,33 @@ impl ReplayReport {
                         event: d.event,
                         action: "quarantine".to_string(),
                     });
-                    obs.counter_add("serve.quarantined", 1);
-                }
-                if d.status.is_degraded() {
-                    obs.counter_add("serve.degraded", 1);
+                    tally.quarantined += 1;
                 }
             }
+            obs.histogram_record_all(
+                "serve.drc",
+                &DRC_BUCKET_BOUNDS,
+                o.decisions.iter().map(|d| d.drc),
+            );
             for s in swaps {
                 emit_swap(s);
             }
             for p in promotes {
                 emit_promote(p);
             }
+            tally.events += o.decisions.len();
+            tally.db_swaps += o.swaps.len();
+            tally.db_swaps_applied += o
+                .swaps
+                .iter()
+                .filter(|s| s.status == SwapStatus::Swapped)
+                .count();
+            tally.promotes += o.promotes.len();
+            tally.promotes_applied += o
+                .promotes
+                .iter()
+                .filter(|p| p.status == PromoteStatus::Promoted)
+                .count();
             if let Some(l) = &o.learn {
                 obs.counter_add("serve.prefetch_hit", l.prefetch_hits);
                 obs.counter_add("serve.prefetch_miss", l.prefetch_misses);
@@ -716,8 +728,48 @@ impl ReplayReport {
                 action: "dropped".to_string(),
             });
         }
-        if self.dropped > 0 {
-            obs.counter_add("serve.dropped", self.dropped as u64);
+        tally.dropped = self.dropped;
+        tally.add_to(obs);
+    }
+}
+
+/// The `serve.*` counters [`ReplayReport::emit_obs`] folds over a
+/// replay before adding each once.
+#[derive(Debug, Default)]
+struct ServeTally {
+    events: usize,
+    reconfigurations: usize,
+    violations: usize,
+    degraded: usize,
+    faults: usize,
+    quarantined: usize,
+    db_swaps: usize,
+    db_swaps_applied: usize,
+    promotes: usize,
+    promotes_applied: usize,
+    dropped: usize,
+}
+
+impl ServeTally {
+    /// Adds every non-zero count (an untouched counter stays unlisted).
+    fn add_to(&self, obs: &Obs) {
+        for (name, n) in [
+            ("serve.events", self.events),
+            ("serve.reconfigurations", self.reconfigurations),
+            ("serve.violations", self.violations),
+            ("serve.degraded", self.degraded),
+            ("serve.faults.injected", self.faults),
+            ("serve.faults.absorbed", self.faults),
+            ("serve.quarantined", self.quarantined),
+            ("serve.db_swaps", self.db_swaps),
+            ("serve.db_swaps.applied", self.db_swaps_applied),
+            ("serve.promotes", self.promotes),
+            ("serve.promotes.applied", self.promotes_applied),
+            ("serve.dropped", self.dropped),
+        ] {
+            if n > 0 {
+                obs.counter_add(name, u64::try_from(n).unwrap_or(u64::MAX));
+            }
         }
     }
 }

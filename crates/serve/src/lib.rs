@@ -33,8 +33,8 @@ pub mod wire;
 pub use clr_chaos::{FaultKind, FaultPlan, FaultPlanError, FaultRates};
 pub use daemon::{serve_stream, Daemon, DaemonConfig, DaemonError, DaemonReport};
 pub use engine::{
-    replay, summary_lines, DecisionRecord, LearnSummary, PromoteRecord, ReplayConfig, ReplayError,
-    ReplayReport, ServeStatus, SwapRecord, TenantOutcome, DECISIONS_CSV_HEADER,
+    replay, DecisionRecord, LearnSummary, PromoteRecord, ReplayConfig, ReplayError, ReplayReport,
+    ServeStatus, SwapRecord, TenantOutcome, DECISIONS_CSV_HEADER,
 };
 pub use health::{
     ab_report_from_journal, fleet_snapshot, flight_rows, render_prometheus, telemetry_from_journal,

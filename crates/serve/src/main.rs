@@ -53,6 +53,8 @@
 //! Exit codes: `0` success, `1` replay/serving failure, `2` usage / IO /
 //! decode error.
 
+use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use clr_obs::{Obs, ObsMode, TelemetrySnapshot};
@@ -403,7 +405,13 @@ fn cmd_wire_decode(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut rows: Vec<Vec<String>> = vec![Vec::new(); order.len()];
+    // One row buffer per tenant, in `--tenants` order (a repeated name
+    // keeps its first slot).
+    let mut slot: BTreeMap<&str, usize> = BTreeMap::new();
+    for (i, &name) in order.iter().enumerate() {
+        slot.entry(name).or_insert(i);
+    }
+    let mut rows: Vec<String> = vec![String::new(); order.len()];
     let mut rest = &bytes[..];
     let mut errors = 0usize;
     while !rest.is_empty() {
@@ -417,14 +425,15 @@ fn cmd_wire_decode(args: &[String]) -> ExitCode {
         rest = &rest[used..];
         match frame {
             Frame::Response(r) => {
-                let Some(idx) = order.iter().position(|&name| name == r.tenant) else {
+                let Some(&idx) = slot.get(r.tenant.as_str()) else {
                     eprintln!(
                         "clr-serve: {input}: response for tenant {:?} not in --tenants",
                         r.tenant
                     );
                     return ExitCode::from(2);
                 };
-                rows[idx].push(r.decision.csv_row(&r.tenant));
+                r.decision.write_csv_row(&r.tenant, &mut rows[idx]);
+                rows[idx].push('\n');
             }
             Frame::Error(e) => {
                 eprintln!(
@@ -462,11 +471,13 @@ fn cmd_wire_decode(args: &[String]) -> ExitCode {
             }
         }
     }
-    println!("{DECISIONS_CSV_HEADER}");
-    for tenant_rows in rows {
-        for row in tenant_rows {
-            println!("{row}");
-        }
+    let mut stdout = std::io::stdout().lock();
+    let written = writeln!(stdout, "{DECISIONS_CSV_HEADER}")
+        .and_then(|()| rows.iter().try_for_each(|r| stdout.write_all(r.as_bytes())))
+        .and_then(|()| stdout.flush());
+    if let Err(e) = written {
+        eprintln!("clr-serve: cannot write the decision CSV: {e}");
+        return ExitCode::from(2);
     }
     if errors > 0 {
         eprintln!("clr-serve: warning: {errors} requests were rejected by the daemon");

@@ -121,13 +121,15 @@ fn main() -> ExitCode {
         Ok(report) => {
             // The same summary source `clr-serve replay` prints, so a
             // drained daemon and a batch replay of the same trace agree
-            // line for line (dropped counts included).
+            // line for line (dropped counts included). The one report
+            // feeds the summary, the A/B lines and the journal export.
             let dropped: Vec<(String, usize)> = report
                 .dropped_by_tenant
                 .iter()
                 .map(|(name, n)| (name.clone(), usize::try_from(*n).unwrap_or(usize::MAX)))
                 .collect();
-            for line in clr_serve::summary_lines(&report.outcomes, &dropped) {
+            let drained = ReplayReport::from_parts(report.outcomes, dropped);
+            for line in drained.summary_lines() {
                 if line.starts_with("warning:") {
                     eprintln!("clr-served: {line}");
                 } else {
@@ -137,9 +139,7 @@ fn main() -> ExitCode {
             for note in &report.learn_notes {
                 eprintln!("clr-served: {note}");
             }
-            for line in
-                ReplayReport::from_parts(report.outcomes.clone(), dropped.clone()).ab_lines()
-            {
+            for line in drained.ab_lines() {
                 eprintln!("{line}");
             }
             eprintln!(
@@ -168,7 +168,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
                 let obs = Obs::new(ObsMode::Json);
-                ReplayReport::from_parts(report.outcomes, dropped).emit_obs(&obs);
+                drained.emit_obs(&obs);
                 match obs.export(dir, "served") {
                     Ok(paths) => {
                         for p in paths {

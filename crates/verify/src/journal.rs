@@ -23,8 +23,11 @@ pub fn check_journal(text: &str, artifact: &str) -> Report {
     // `Some((points, last_cycle))` while inside a sim_start/sim_end
     // bracket of a database with `points` stored design points.
     let mut sim: Option<(usize, f64)> = None;
+    // One re-encode buffer for every line; locations are formatted only
+    // when a diagnostic fires.
+    let mut reencoded = String::new();
     for (i, line) in text.lines().enumerate() {
-        let loc = format!("line {}", i + 1);
+        let loc = || format!("line {}", i + 1);
         if line.trim().is_empty() {
             continue;
         }
@@ -34,17 +37,19 @@ pub fn check_journal(text: &str, artifact: &str) -> Report {
                 report.push(Diagnostic::new(
                     LintCode::JournalSchemaInvalid,
                     artifact,
-                    loc,
+                    loc(),
                     format!("unparseable event: {e}"),
                 ));
                 continue;
             }
         };
-        if event.to_json_line(seq) != line {
+        reencoded.clear();
+        event.write_json_line(seq, &mut reencoded);
+        if reencoded != line {
             report.push(Diagnostic::new(
                 LintCode::JournalRoundTripMismatch,
                 artifact,
-                loc.clone(),
+                loc(),
                 "line does not re-encode to its own bytes".to_string(),
             ));
         }
@@ -53,7 +58,7 @@ pub fn check_journal(text: &str, artifact: &str) -> Report {
                 report.push(Diagnostic::new(
                     LintCode::JournalNonMonotoneSeq,
                     artifact,
-                    loc.clone(),
+                    loc(),
                     format!("seq {seq} after {prev}"),
                 ));
             }
@@ -70,7 +75,7 @@ pub fn check_journal(text: &str, artifact: &str) -> Report {
                         report.push(Diagnostic::new(
                             LintCode::JournalDecisionIndexOutOfRange,
                             artifact,
-                            loc.clone(),
+                            loc(),
                             format!("points {from} -> {to} in a {points}-point database"),
                         ));
                     }
@@ -78,7 +83,7 @@ pub fn check_journal(text: &str, artifact: &str) -> Report {
                         report.push(Diagnostic::new(
                             LintCode::JournalNonMonotoneSeq,
                             artifact,
-                            loc,
+                            loc(),
                             format!("decision cycle {cycle} after {last_cycle}"),
                         ));
                     } else {
@@ -88,7 +93,7 @@ pub fn check_journal(text: &str, artifact: &str) -> Report {
                 None => report.push(Diagnostic::new(
                     LintCode::JournalSchemaInvalid,
                     artifact,
-                    loc,
+                    loc(),
                     "decision record outside a sim_start/sim_end bracket".to_string(),
                 )),
             },
