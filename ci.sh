@@ -111,10 +111,16 @@
 #                                    annotation hygiene; any deny finding
 #                                    fails the gate, and the JSON report is
 #                                    left in target/ next to the journals
-#  16. perfbench build             — build the benchmark (its own cargo
+#  16. perfbench build and checks  — build the benchmark (its own cargo
 #                                    workspace under perfbench/), so a
 #                                    serve API change that breaks it
-#                                    fails here, not in a benchmark run
+#                                    fails here, not in a benchmark run;
+#                                    then one minimal run per workload
+#                                    (--seconds 0.001 --trace 0: three
+#                                    rounds of every output check) must
+#                                    exit 0 and report "failed": 0. The
+#                                    traced mode is left out: its
+#                                    rung-gap check is a timing check
 #
 # Any failure aborts the script (set -e); clr-verify exits nonzero on
 # deny-level findings, so a model regression fails CI like a test would.
@@ -458,7 +464,15 @@ AUDIT_REPORT=target/ci-audit.json
 "$AUDIT" --json > "$AUDIT_REPORT" \
   || { cat "$AUDIT_REPORT"; echo "clr-audit found deny-level source findings"; exit 1; }
 
-step "perfbench build (the benchmark compiles against the current API)"
+step "perfbench build and output checks (fleet_wire, design_flow)"
 cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
+for workload in fleet_wire design_flow; do
+  PERFBENCH_LAST=$(perfbench/target/release/perfbench --workload "$workload" \
+    --seconds 0.001 --trace 0 | tail -n 1)
+  case "$PERFBENCH_LAST" in
+    *'"failed": 0,'*) ;;
+    *) echo "perfbench $workload: output checks failed: $PERFBENCH_LAST"; exit 1 ;;
+  esac
+done
 
 printf '\nci.sh: all gates passed.\n'

@@ -345,6 +345,7 @@ impl LearnerState {
         state.live = live;
         state.shadow = shadow;
         state.transitions = transitions;
+        state.rebuild_row_best();
         state.decisions = decisions;
         state.explored = explored;
         state.prefetch_hits = prefetch_hits;

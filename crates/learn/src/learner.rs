@@ -2,7 +2,7 @@
 //! shadow evaluation with counterfactual regret, seeded exploration,
 //! and reconfiguration prefetch.
 
-use clr_runtime::{ura_argmax, DecisionInput, DecisionOutcome, Feedback, RuntimeContext};
+use clr_runtime::{ArgMax, DecisionInput, DecisionOutcome, Feedback};
 
 use crate::ab::{assign_variant, fnv1a64, splitmix64, Variant};
 use crate::LearnConfig;
@@ -76,8 +76,9 @@ pub struct ShadowRecord {
 /// A per-tenant online learner implementing
 /// [`RuntimePolicy`](clr_runtime::RuntimePolicy).
 ///
-/// Two value tables share one AuRA-shaped decision rule
-/// ([`ura_argmax`]): the **incumbent** (`live`) is frozen until an
+/// Two value tables share one AuRA-shaped decision rule (the
+/// [`ura_argmax`](clr_runtime::ura_argmax) scoring and tie rule, both
+/// tables in one pass): the **incumbent** (`live`) is frozen until an
 /// explicit [`promote`](LearnerState::promote); the **candidate**
 /// (`shadow`) is TD(0)-updated from every executed transition delivered
 /// through the [`observe`](clr_runtime::RuntimePolicy::observe) hook.
@@ -100,6 +101,11 @@ pub struct LearnerState {
     pub(crate) shadow: Vec<f64>,
     /// Dense `from × to` transition counts over stored points.
     pub(crate) transitions: Vec<u64>,
+    /// Per source row, the most-travelled off-diagonal destination (ties
+    /// to the lower index; `None` without history) — a running arg-max of
+    /// `transitions`, kept in step on every increment. Derived state: not
+    /// checkpointed, rebuilt from the counts on restore.
+    pub(crate) row_best: Vec<Option<usize>>,
     pub(crate) points: usize,
     /// Snapshot-store generation of the database the tables index into.
     pub(crate) generation: u64,
@@ -117,11 +123,6 @@ pub struct LearnerState {
     pub(crate) cum_shadow_regret: f64,
     pub(crate) promotions: u64,
     pub(crate) last_shadow: Option<ShadowRecord>,
-}
-
-/// The γ-free immediate RET term both regret sides are measured with.
-fn base_ret(ctx: &RuntimeContext<'_>, current: usize, p: usize, p_rc: f64) -> f64 {
-    p_rc * ctx.norm_performance(p) - (1.0 - p_rc) * ctx.norm_drc(current, p)
 }
 
 impl LearnerState {
@@ -156,6 +157,7 @@ impl LearnerState {
             live: vec![0.0; points],
             shadow: vec![0.0; points],
             transitions: vec![0; points * points],
+            row_best: vec![None; points],
             points,
             generation,
             decisions: 0,
@@ -263,8 +265,7 @@ impl LearnerState {
     /// Deterministic given the stream position it is applied at — the
     /// daemon applies it batch-flush-first, like `SwapDb`.
     pub fn promote(&mut self) {
-        let shadow = self.shadow.clone();
-        self.live = shadow;
+        self.live.copy_from_slice(&self.shadow);
         self.serving = Table::Live;
         self.promotions += 1;
     }
@@ -278,10 +279,29 @@ impl LearnerState {
         self.live.resize(points, 0.0);
         self.shadow.resize(points, 0.0);
         self.transitions = vec![0; points * points];
+        self.row_best = vec![None; points];
         self.prediction = None;
         self.points = points;
         self.generation = generation;
         self.last_shadow = None;
+    }
+
+    /// Recomputes [`row_best`](Self::row_best) from the transition counts
+    /// (checkpoint restore).
+    pub(crate) fn rebuild_row_best(&mut self) {
+        self.row_best.clear();
+        if self.points == 0 {
+            return;
+        }
+        for (from, row) in self.transitions.chunks_exact(self.points).enumerate() {
+            let mut best: Option<usize> = None;
+            for (to, &c) in row.iter().enumerate() {
+                if to != from && c > 0 && best.is_none_or(|b| c > row[b]) {
+                    best = Some(to);
+                }
+            }
+            self.row_best.push(best);
+        }
     }
 
     /// The exploration stream: one avalanche-mixed draw per scored
@@ -296,10 +316,19 @@ impl clr_runtime::RuntimePolicy for LearnerState {
         let (ctx, current, feasible) = (input.ctx, input.current, input.feasible);
         let p_rc = self.cfg.p_rc;
         let gamma = self.cfg.gamma;
-        let live_pick = ura_argmax(ctx, current, feasible, p_rc, |s| self.live[s], gamma);
-        let shadow_pick = ura_argmax(ctx, current, feasible, p_rc, |s| self.shadow[s], gamma);
+        // One pass scores both tables and the γ-free oracle: the immediate
+        // term is computed once per candidate and shared.
+        let term = ctx.ret_term(current, p_rc);
+        let (mut live_best, mut shadow_best) = (ArgMax::default(), ArgMax::default());
+        let mut oracle = f64::NEG_INFINITY;
+        for &p in feasible {
+            let (base, perf) = term.score(p);
+            live_best.offer(p, base + gamma * self.live[p], perf);
+            shadow_best.offer(p, base + gamma * self.shadow[p], perf);
+            oracle = oracle.max(base);
+        }
         let (Some((live_choice, live_ret)), Some((mut shadow_choice, mut shadow_ret))) =
-            (live_pick, shadow_pick)
+            (live_best.best(), shadow_best.best())
         else {
             // Empty feasible set: nothing to score, nothing to shadow.
             self.last_shadow = None;
@@ -321,18 +350,14 @@ impl clr_runtime::RuntimePolicy for LearnerState {
             if unit < self.cfg.epsilon {
                 let forced = feasible[(splitmix64(draw) % feasible.len() as u64) as usize];
                 shadow_choice = forced;
-                shadow_ret = base_ret(ctx, current, forced, p_rc) + gamma * self.shadow[forced];
+                shadow_ret = term.score(forced).0 + gamma * self.shadow[forced];
                 self.explored += 1;
             }
         }
 
-        // One-step oracle over the same feasible set, γ-free.
-        let oracle = feasible
-            .iter()
-            .map(|&q| base_ret(ctx, current, q, p_rc))
-            .fold(f64::NEG_INFINITY, f64::max);
-        let live_regret = (oracle - base_ret(ctx, current, live_choice, p_rc)).max(0.0);
-        let shadow_regret = (oracle - base_ret(ctx, current, shadow_choice, p_rc)).max(0.0);
+        // One-step regret against the γ-free oracle of the same pass.
+        let live_regret = (oracle - term.score(live_choice).0).max(0.0);
+        let shadow_regret = (oracle - term.score(shadow_choice).0).max(0.0);
         self.cum_live_regret += live_regret;
         self.cum_shadow_regret += shadow_regret;
 
@@ -371,24 +396,26 @@ impl clr_runtime::RuntimePolicy for LearnerState {
                 self.prefetch_misses += 1;
             }
         }
-        self.transitions[from * self.points + to] += 1;
+        let row = &mut self.transitions[from * self.points..(from + 1) * self.points];
+        row[to] += 1;
+        if to != from {
+            // Counts only grow, so the row's arg-max can only move to the
+            // entry just incremented: higher count wins, then lower index.
+            let best = &mut self.row_best[from];
+            if best.is_none_or(|b| (row[to], b) > (row[b], to)) {
+                *best = Some(to);
+            }
+        }
         // TD(0) update of the candidate from the executed transition —
         // including ladder-served transitions the policy did not pick:
         // the candidate learns from reality, not from its own plan.
-        let reward = base_ret(ctx, from, to, self.cfg.p_rc);
+        let reward = ctx.ret_term(from, self.cfg.p_rc).score(to).0;
         let alpha = self.cfg.alpha;
         let gamma = self.cfg.gamma;
         self.shadow[from] += alpha * (reward + gamma * self.shadow[to] - self.shadow[from]);
-        // Refresh the prediction from the new state's outgoing counts:
-        // the most-travelled move, ties to the lower index, none without
-        // history.
-        let row = &self.transitions[to * self.points..(to + 1) * self.points];
-        self.prediction = row
-            .iter()
-            .enumerate()
-            .filter(|&(j, &c)| j != to && c > 0)
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(j, _)| j);
+        // The prediction out of the new state: its most-travelled move,
+        // ties to the lower index, none without history.
+        self.prediction = self.row_best[to];
     }
 }
 
@@ -397,7 +424,7 @@ mod tests {
     use super::*;
     use clr_dse::{DesignPoint, DesignPointDb, PointOrigin, QosSpec};
     use clr_platform::Platform;
-    use clr_runtime::RuntimePolicy;
+    use clr_runtime::{RuntimeContext, RuntimePolicy};
     use clr_sched::{Mapping, SystemMetrics};
     use clr_taskgraph::jpeg_encoder;
 
@@ -630,5 +657,60 @@ mod tests {
         assert_eq!(l.shadow_values()[0], kept, "overlapping indices survive");
         assert_eq!(l.prediction, None);
         assert!(l.transitions.iter().all(|&c| c == 0));
+    }
+
+    /// The row-scan prefetch predictor the running row arg-max replaces:
+    /// the most-travelled off-diagonal move, ties to the lower index.
+    fn scanned_prediction(l: &LearnerState, state: usize) -> Option<usize> {
+        let row = &l.transitions[state * l.points..(state + 1) * l.points];
+        row.iter()
+            .enumerate()
+            .filter(|&(j, &c)| j != state && c > 0)
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+            .map(|(j, _)| j)
+    }
+
+    #[test]
+    fn running_row_argmax_equals_the_row_scan() {
+        let (g, p, db) = fixture(9);
+        let ctx = RuntimeContext::new(&g, &p, &db);
+        let n = db.len();
+        let mut l = learner("cam0", n, 0.0, 7);
+        let mut draw = 0x5eed_u64;
+        let mut current = 0usize;
+        let mut step = |l: &mut LearnerState, current: &mut usize| {
+            draw = splitmix64(draw);
+            // A skewed walk (low indices favoured) so rows build real
+            // ties and reversals; self-loops included.
+            let to = ((draw % n as u64) * ((draw >> 32) & 1)) as usize;
+            l.observe(&Feedback {
+                ctx: &ctx,
+                from: *current,
+                to,
+            });
+            *current = to;
+            assert_eq!(l.prediction, scanned_prediction(l, to));
+            for s in 0..l.points {
+                assert_eq!(l.row_best[s], scanned_prediction(l, s), "row {s}");
+            }
+        };
+        for _ in 0..300 {
+            step(&mut l, &mut current);
+        }
+        // Restored from a checkpoint: the cache is rebuilt from the counts.
+        l = LearnerState::from_bytes(&l.to_bytes()).unwrap();
+        for s in 0..n {
+            assert_eq!(l.row_best[s], scanned_prediction(&l, s), "restored row {s}");
+        }
+        for _ in 0..300 {
+            step(&mut l, &mut current);
+        }
+        // Re-seated: the cache is cleared with the counts.
+        l.reseat(n, 1);
+        assert!(l.row_best.iter().all(Option::is_none));
+        for _ in 0..300 {
+            step(&mut l, &mut current);
+        }
+        assert!(l.prefetch_hits() > 0);
     }
 }

@@ -122,7 +122,7 @@ impl AuraAgent {
 
     /// The immediate uRA-shaped reward of transitioning `from → to`.
     fn reward(&self, ctx: &RuntimeContext<'_>, from: usize, to: usize) -> f64 {
-        self.p_rc * ctx.norm_performance(to) - (1.0 - self.p_rc) * ctx.norm_drc(from, to)
+        ctx.ret_term(from, self.p_rc).score(to).0
     }
 
     /// Offline Monte-Carlo prior: simulates `episodes` independent episodes

@@ -2,6 +2,7 @@
 //! pre-computed reconfiguration distances and normalisers.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use clr_dse::{DesignPointDb, FeasibilityIndex, QosSpec};
 use clr_platform::Platform;
@@ -26,9 +27,10 @@ pub struct RuntimeContext<'a> {
     /// run time and must outlive whatever produced it.
     db: Cow<'a, DesignPointDb>,
     index: FeasibilityIndex,
-    /// `drc[from][to]`.
-    drc: Vec<Vec<f64>>,
-    energy_norm: Normalizer,
+    /// Row-major `n × n` matrix: `drc[from * n + to]`.
+    drc: Vec<f64>,
+    /// `norm(R(p))` per stored point.
+    norm_perf: Vec<f64>,
     drc_norm: Normalizer,
 }
 
@@ -87,9 +89,9 @@ impl<'a> RuntimeContext<'a> {
         }
         let points = db.points();
         let n = points.len();
-        let mut drc = vec![vec![0.0f64; n]; n];
+        let mut drc = vec![0.0f64; n * n];
         let mut max_drc = 0.0f64;
-        for (i, row) in drc.iter_mut().enumerate() {
+        for (i, row) in drc.chunks_exact_mut(n).enumerate() {
             for (j, cell) in row.iter_mut().enumerate() {
                 if i == j {
                     continue;
@@ -113,6 +115,16 @@ impl<'a> RuntimeContext<'a> {
                 what: "energy".to_string(),
             },
         )?;
+        // When every stored point has the same energy (e.g. a single-point
+        // database) the candidates are indistinguishable on performance:
+        // every score is 0 rather than NaN/inf.
+        let norm_perf = if energy_norm.max() <= energy_norm.min() {
+            vec![0.0; n]
+        } else {
+            db.iter()
+                .map(|p| 1.0 - energy_norm.normalize(p.metrics.energy))
+                .collect()
+        };
         // A single-point database (or identical-cost points) gives a
         // degenerate [0, 0] range; `Normalizer` maps it to 0 rather than
         // dividing by zero.
@@ -124,7 +136,7 @@ impl<'a> RuntimeContext<'a> {
             db,
             index,
             drc,
-            energy_norm,
+            norm_perf,
             drc_norm,
         })
     }
@@ -150,12 +162,16 @@ impl<'a> RuntimeContext<'a> {
     ///
     /// Panics if either index is out of range.
     pub fn drc(&self, from: usize, to: usize) -> f64 {
-        self.drc[from][to]
+        self.drc_row(from)[to]
     }
 
     /// Normalised (0–1) reconfiguration cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
     pub fn norm_drc(&self, from: usize, to: usize) -> f64 {
-        self.drc_norm.normalize(self.drc[from][to])
+        self.drc_norm.normalize(self.drc(from, to))
     }
 
     /// Normalised (0–1) performance `R(p) = −J(p)`: 1 is the *best*
@@ -166,16 +182,33 @@ impl<'a> RuntimeContext<'a> {
     /// candidates are indistinguishable on performance and must not inject
     /// NaN/inf into [`ura_argmax`](crate::UraPolicy).
     pub fn norm_performance(&self, point: usize) -> f64 {
-        if self.energy_norm.max() <= self.energy_norm.min() {
-            return 0.0;
+        // Out-of-range indices score as worst-performance rather than
+        // panicking mid-decision; the caller's feasible sets only contain
+        // valid indices, so this is unreachable in practice.
+        self.norm_perf.get(point).copied().unwrap_or(0.0)
+    }
+
+    /// The γ-free immediate RET term of Algorithm 1 out of `current`,
+    /// resolved to flat table reads once per decision — see [`RetTerm`].
+    /// An out-of-range `current` only panics once a candidate is scored.
+    pub fn ret_term(&self, current: usize, p_rc: f64) -> RetTerm<'_> {
+        RetTerm {
+            p_rc,
+            norm_perf: &self.norm_perf,
+            drc_row: self.drc_row(current),
+            drc_norm: self.drc_norm,
         }
-        let Some(p) = self.db.get(point) else {
-            // Out-of-range indices score as worst-performance rather than
-            // panicking mid-decision; the caller's feasible sets only
-            // contain valid indices, so this is unreachable in practice.
-            return 0.0;
-        };
-        1.0 - self.energy_norm.normalize(p.metrics.energy)
+    }
+
+    /// Row `from` of the dRC matrix, empty when `from` is out of range,
+    /// so indexing it panics for any bad `(from, to)` instead of reading
+    /// into the next row.
+    fn drc_row(&self, from: usize) -> &[f64] {
+        let n = self.norm_perf.len();
+        self.drc
+            .get(from.saturating_mul(n)..)
+            .and_then(|rest| rest.get(..n))
+            .unwrap_or(&[])
     }
 
     /// Indices of points satisfying `spec` (Algorithm 1's `FEAS`),
@@ -198,6 +231,74 @@ impl<'a> RuntimeContext<'a> {
     }
 }
 
+/// Algorithm 1's γ-free immediate term out of one current point,
+///
+/// ```text
+/// RET₀(p) = p_RC · norm(R(p)) − (1 − p_RC) · norm(dRC(current → p))
+/// ```
+///
+/// — the one definition every scorer shares: [`ura_argmax`](crate::ura_argmax)
+/// adds `γ·V(p)` to it, AuRA's reward is it, and clr-learn's shadow
+/// evaluation and oracle regret are measured with it.
+#[derive(Debug, Clone, Copy)]
+pub struct RetTerm<'a> {
+    p_rc: f64,
+    norm_perf: &'a [f64],
+    drc_row: &'a [f64],
+    drc_norm: Normalizer,
+}
+
+impl RetTerm<'_> {
+    /// `(RET₀(p), norm(R(p)))` — the performance term is returned too
+    /// because it is the first tie-break of [`ArgMax`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[inline]
+    pub fn score(&self, p: usize) -> (f64, f64) {
+        let perf = self.norm_perf[p];
+        let ret = self.p_rc * perf - (1.0 - self.p_rc) * self.drc_norm.normalize(self.drc_row[p]);
+        (ret, perf)
+    }
+}
+
+/// Running arg-max under Algorithm 1's tie rule: the higher RET wins,
+/// equal RETs (e.g. several zero-dRC moves at `p_RC = 0` — points that
+/// differ only in CLR configuration are free to switch between) resolve
+/// toward the better performer, both by `total_cmp`, then the lower
+/// index. The order is total over distinct indices, so the winner does
+/// not depend on the order candidates are offered in.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ArgMax {
+    best: Option<(usize, f64, f64)>,
+}
+
+impl ArgMax {
+    /// Offers candidate `p` with score `ret` and performance `perf`.
+    #[inline]
+    pub fn offer(&mut self, p: usize, ret: f64, perf: f64) {
+        let wins = match self.best {
+            None => true,
+            // Most candidates lose on RET alone; the tie-breaks are only
+            // evaluated for an exact tie.
+            Some((q, best_ret, best_perf)) => match ret.total_cmp(&best_ret) {
+                Ordering::Less => false,
+                Ordering::Greater => true,
+                Ordering::Equal => perf.total_cmp(&best_perf).then(q.cmp(&p)).is_ge(),
+            },
+        };
+        if wins {
+            self.best = Some((p, ret, perf));
+        }
+    }
+
+    /// The winner and its score, `None` if nothing was offered.
+    pub fn best(&self) -> Option<(usize, f64)> {
+        self.best.map(|(p, ret, _)| (p, ret))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +307,7 @@ mod tests {
     use clr_reliability::{ConfigSpace, FaultModel};
     use clr_taskgraph::{TgffConfig, TgffGenerator};
 
-    fn fixture() -> (clr_taskgraph::TaskGraph, Platform, DesignPointDb) {
+    fn fixture() -> (TaskGraph, Platform, DesignPointDb) {
         let graph = TgffGenerator::new(TgffConfig::with_tasks(8)).generate(17);
         let platform = Platform::dac19();
         let cfg = DseConfig {
@@ -269,6 +370,113 @@ mod tests {
         let ctx = RuntimeContext::new(&g, &p, &single);
         assert_eq!(ctx.norm_performance(0), 0.0);
         assert_eq!(ctx.norm_drc(0, 0), 0.0);
+    }
+
+    /// Every accessor, bit for bit, against the `Normalizer` expressions
+    /// over a freshly computed `reconfiguration_cost` matrix.
+    fn assert_accessors_match(g: &TaskGraph, p: &Platform, db: &DesignPointDb) {
+        let ctx = RuntimeContext::new(g, p, db);
+        let n = db.len();
+        let raw = |i: usize, j: usize| {
+            if i == j {
+                0.0
+            } else {
+                let (a, b) = (&db.get(i).unwrap().mapping, &db.get(j).unwrap().mapping);
+                reconfiguration_cost(g, p, a, b).total()
+            }
+        };
+        let max_drc = (0..n * n).map(|k| raw(k / n, k % n)).fold(0.0, f64::max);
+        let drc_norm = Normalizer::new(0.0, max_drc).unwrap();
+        let energy = Normalizer::from_values(db.iter().map(|p| p.metrics.energy)).unwrap();
+        let perf: Vec<f64> = db
+            .iter()
+            .map(|p| {
+                if energy.max() <= energy.min() {
+                    0.0
+                } else {
+                    1.0 - energy.normalize(p.metrics.energy)
+                }
+            })
+            .collect();
+        for (i, perf_i) in perf.iter().enumerate() {
+            assert_eq!(ctx.norm_performance(i).to_bits(), perf_i.to_bits());
+            for (j, perf_j) in perf.iter().enumerate() {
+                assert_eq!(ctx.drc(i, j).to_bits(), raw(i, j).to_bits());
+                let norm = drc_norm.normalize(raw(i, j));
+                assert_eq!(ctx.norm_drc(i, j).to_bits(), norm.to_bits());
+                for p_rc in [0.0, 0.3, 1.0] {
+                    let expected = p_rc * perf_j - (1.0 - p_rc) * norm;
+                    let (ret, at) = ctx.ret_term(i, p_rc).score(j);
+                    assert_eq!(ret.to_bits(), expected.to_bits());
+                    assert_eq!(at.to_bits(), perf_j.to_bits());
+                }
+            }
+        }
+        assert_eq!(ctx.norm_performance(n), 0.0, "out of range scores 0");
+    }
+
+    #[test]
+    fn accessors_are_bit_equal_to_the_normalizer_expressions() {
+        let (g, p, db) = fixture();
+        assert_accessors_match(&g, &p, &db);
+        let mut single = DesignPointDb::new("single");
+        single.push(db.get(0).unwrap().clone());
+        assert_accessors_match(&g, &p, &single);
+        let mut flat = DesignPointDb::new("flat");
+        for point in &db {
+            let mut point = point.clone();
+            point.metrics.energy = 3.0;
+            flat.push(point);
+        }
+        assert_accessors_match(&g, &p, &flat);
+    }
+
+    #[test]
+    #[should_panic]
+    fn drc_past_the_row_end_panics() {
+        // A flat `from * n + to` index would silently read row 1 here.
+        let (g, p, db) = fixture();
+        let ctx = RuntimeContext::new(&g, &p, &db);
+        let _ = ctx.drc(0, ctx.len());
+    }
+
+    #[test]
+    fn argmax_is_max_by_in_every_order() {
+        // Ties on RET, on performance and on both, offered in every
+        // rotation of both directions.
+        let cands: [(usize, f64, f64); 7] = [
+            (0, 0.5, 0.2),
+            (1, 0.7, 0.1),
+            (2, 0.7, 0.3),
+            (3, 0.7, 0.3),
+            (4, -0.0, 0.9),
+            (5, 0.0, 0.9),
+            (6, 0.7, 0.3),
+        ];
+        for k in 0..cands.len() {
+            for rev in [false, true] {
+                let mut order = cands.to_vec();
+                order.rotate_left(k);
+                if rev {
+                    order.reverse();
+                }
+                let expected = order
+                    .iter()
+                    .max_by(|a, b| {
+                        a.1.total_cmp(&b.1)
+                            .then(a.2.total_cmp(&b.2))
+                            .then(b.0.cmp(&a.0))
+                    })
+                    .map(|&(p, ret, _)| (p, ret));
+                let mut acc = ArgMax::default();
+                for &(p, ret, perf) in &order {
+                    acc.offer(p, ret, perf);
+                }
+                assert_eq!(acc.best(), expected);
+                assert_eq!(acc.best(), Some((2, 0.7)));
+            }
+        }
+        assert_eq!(ArgMax::default().best(), None);
     }
 
     #[test]

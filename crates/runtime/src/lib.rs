@@ -54,7 +54,7 @@ mod ura;
 
 pub use agent::{AuraAgent, PRIOR_BATCH};
 pub use analysis::TraceAnalysis;
-pub use context::RuntimeContext;
+pub use context::{ArgMax, RetTerm, RuntimeContext};
 pub use error::RuntimeError;
 pub use hv_policy::HvPolicy;
 pub use qos::{EventStream, QosEvent, QosVariationModel, VariationMode};

@@ -4,7 +4,7 @@ use clr_dse::QosSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::sim::{DecisionInput, DecisionOutcome, RuntimePolicy};
-use crate::RuntimeContext;
+use crate::{ArgMax, RuntimeContext};
 
 /// The uRA policy of Algorithm 1.
 ///
@@ -70,9 +70,11 @@ impl UraPolicy {
 /// `γ = 0`. Returns the winner and its `RET` score (surfaced in journal
 /// decision records).
 ///
-/// Public so external learners (clr-learn's shadow evaluation) score
-/// candidates with *exactly* the live tie-breaking: equal-RET candidates
-/// resolve toward the better performer, then the lower index.
+/// The score is [`RetTerm::score`](crate::RetTerm::score) plus
+/// `γ·V(p)`, and ties follow [`ArgMax`]: equal-RET candidates resolve
+/// toward the better performer, then the lower index. External learners
+/// (clr-learn's shadow evaluation) build on the same two pieces, so they
+/// score with *exactly* the live tie-breaking.
 pub fn ura_argmax(
     ctx: &RuntimeContext<'_>,
     current: usize,
@@ -81,24 +83,13 @@ pub fn ura_argmax(
     value: impl Fn(usize) -> f64,
     gamma: f64,
 ) -> Option<(usize, f64)> {
-    feasible
-        .iter()
-        .copied()
-        .map(|p| {
-            let ret = p_rc * ctx.norm_performance(p) - (1.0 - p_rc) * ctx.norm_drc(current, p)
-                + gamma * value(p);
-            (p, ret, ctx.norm_performance(p))
-        })
-        .max_by(|a, b| {
-            // Equal-RET candidates (e.g. several zero-dRC moves at
-            // p_RC = 0 — points differing only in CLR configuration
-            // are free to switch between) resolve toward the better
-            // performer, then the lower index for determinism.
-            a.1.total_cmp(&b.1)
-                .then(a.2.total_cmp(&b.2))
-                .then(b.0.cmp(&a.0))
-        })
-        .map(|(p, ret, _)| (p, ret))
+    let term = ctx.ret_term(current, p_rc);
+    let mut best = ArgMax::default();
+    for &p in feasible {
+        let (base, perf) = term.score(p);
+        best.offer(p, base + gamma * value(p), perf);
+    }
+    best.best()
 }
 
 impl RuntimePolicy for UraPolicy {

@@ -161,6 +161,7 @@ impl Normalizer {
     }
 
     /// Maps `value` onto `[0, 1]`, clamping values outside the range.
+    #[inline]
     pub fn normalize(&self, value: f64) -> f64 {
         normalize(value, self.min, self.max)
     }
@@ -176,6 +177,7 @@ impl Normalizer {
 /// assert_eq!(clr_stats::normalize(-1.0, 0.0, 10.0), 0.0);
 /// assert_eq!(clr_stats::normalize(3.0, 3.0, 3.0), 0.0);
 /// ```
+#[inline]
 pub fn normalize(value: f64, min: f64, max: f64) -> f64 {
     if max <= min {
         return 0.0;
