@@ -11,7 +11,10 @@
 #                                    CLR_THREADS=4: the parallel evaluation
 #                                    layer must be bit-identical at every
 #                                    thread count, so a divergence (or a
-#                                    thread-count-sensitive test) fails here
+#                                    thread-count-sensitive test) fails here;
+#                                    then the ignored release sweep of the
+#                                    drain's number writer (2e7 random f64
+#                                    checked byte for byte against {})
 #   4. clr-verify all              — cross-layer model audit of the bundled
 #                                    presets (platforms, generators, HEFT,
 #                                    BaseD/ReD database, dRC matrix, policies,
@@ -115,10 +118,14 @@
 #                                    workspace under perfbench/), so a
 #                                    serve API change that breaks it
 #                                    fails here, not in a benchmark run;
-#                                    then one minimal run per workload
-#                                    (--seconds 0.001 --trace 0: three
-#                                    rounds of every output check) must
-#                                    exit 0 and report "failed": 0. The
+#                                    then two minimal runs per workload,
+#                                    and two of design_flow at the
+#                                    held-out seed 7919 (--seconds 0.001
+#                                    --trace 0: three rounds of every
+#                                    output check; the second run checks
+#                                    its counts against the ledger the
+#                                    first wrote) must each exit 0 and
+#                                    report "failed": 0. The
 #                                    traced mode is left out: its
 #                                    rung-gap check is a timing check
 #
@@ -144,6 +151,9 @@ CLR_THREADS=1 cargo test --workspace -q
 
 step "cargo test -q (CLR_THREADS=4)"
 CLR_THREADS=4 cargo test --workspace -q
+
+step "number writer sweep (release: 2e7 random f64 against {})"
+cargo test --release -q -p clr-obs --test number_text -- --ignored
 
 step "build clr-verify + examples"
 cargo build --release --quiet -p clr-verify --bin clr-verify
@@ -464,15 +474,22 @@ AUDIT_REPORT=target/ci-audit.json
 "$AUDIT" --json > "$AUDIT_REPORT" \
   || { cat "$AUDIT_REPORT"; echo "clr-audit found deny-level source findings"; exit 1; }
 
-step "perfbench build and output checks (fleet_wire, design_flow)"
+step "perfbench build and output checks (fleet_wire, design_flow, held-out seed)"
 cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
-for workload in fleet_wire design_flow; do
-  PERFBENCH_LAST=$(perfbench/target/release/perfbench --workload "$workload" \
-    --seconds 0.001 --trace 0 | tail -n 1)
-  case "$PERFBENCH_LAST" in
-    *'"failed": 0,'*) ;;
-    *) echo "perfbench $workload: output checks failed: $PERFBENCH_LAST"; exit 1 ;;
-  esac
+# Each run twice on this one build: the second run compares its counts
+# and FNV fingerprints against the ledger the first one wrote.
+for run in fleet_wire:1 design_flow:1 design_flow:7919; do
+  workload=${run%:*}
+  seed=${run#*:}
+  for pass in 1 2; do
+    PERFBENCH_LAST=$(perfbench/target/release/perfbench --workload "$workload" \
+      --seed "$seed" --seconds 0.001 --trace 0 | tail -n 1)
+    case "$PERFBENCH_LAST" in
+      *'"failed": 0,'*) ;;
+      *) echo "perfbench $workload seed $seed pass $pass: output checks failed: $PERFBENCH_LAST"
+         exit 1 ;;
+    esac
+  done
 done
 
 printf '\nci.sh: all gates passed.\n'

@@ -11,9 +11,8 @@
 //! the `clr-verify` journal round-trip lint re-encodes each parsed line
 //! and compares bytes.
 
-use std::fmt::Write as _;
-
 use crate::json::{self, Value};
+use crate::num;
 
 /// Version stamped into every journal's leading `meta` event; bump when
 /// the schema of any event changes shape. Version 2 added the `db_swap`
@@ -332,11 +331,15 @@ impl Event {
     /// sequence number to `out`, allocating nothing beyond `out`'s own
     /// growth — the writer behind every journal renderer.
     pub fn write_json_line(&self, seq: u64, out: &mut String) {
-        let _ = write!(out, "{{\"seq\":{seq},\"type\":\"{}\"", self.type_tag());
+        out.push_str("{\"seq\":");
+        num::push_u64(out, seq);
+        out.push_str(",\"type\":\"");
+        out.push_str(self.type_tag());
+        out.push('"');
         let mut f = Fields(out);
         match self {
             Event::Meta { label, schema } => {
-                f.str("label", label).raw("schema", schema);
+                f.str("label", label).u64("schema", *schema);
             }
             Event::GaGen {
                 algo,
@@ -350,27 +353,29 @@ impl Event {
             } => {
                 f.str("algo", algo)
                     .str("label", label)
-                    .raw("gen", gen)
-                    .raw("evals", evals)
-                    .raw("feasible", feasible)
-                    .raw("front", front)
-                    .raw("archive", archive)
+                    .usize("gen", *gen)
+                    .usize("evals", *evals)
+                    .usize("feasible", *feasible)
+                    .usize("front", *front)
+                    .usize("archive", *archive)
                     .opt_f64("hv", *hv);
             }
             Event::DseStage { stage, points } => {
-                f.str("stage", stage).raw("points", points);
+                f.str("stage", stage).usize("points", *points);
             }
             Event::RedSeed {
                 index,
                 candidates,
                 kept,
             } => {
-                f.raw("index", index)
-                    .raw("candidates", candidates)
-                    .raw("kept", kept);
+                f.usize("index", *index)
+                    .usize("candidates", *candidates)
+                    .usize("kept", *kept);
             }
             Event::Episode { index, steps, ret } => {
-                f.raw("index", index).raw("steps", steps).f64("ret", *ret);
+                f.u64("index", *index)
+                    .usize("steps", *steps)
+                    .f64("ret", *ret);
             }
             Event::SimStart {
                 label,
@@ -378,8 +383,8 @@ impl Event {
                 seed,
             } => {
                 f.str("label", label)
-                    .raw("points", points)
-                    .raw("seed", seed);
+                    .usize("points", *points)
+                    .u64("seed", *seed);
             }
             Event::Decision {
                 event,
@@ -392,15 +397,15 @@ impl Event {
                 p_rc,
                 violated,
             } => {
-                f.raw("event", event)
+                f.usize("event", *event)
                     .f64("cycle", *cycle)
-                    .raw("feasible", feasible)
-                    .raw("from", from)
-                    .raw("to", to)
+                    .usize("feasible", *feasible)
+                    .usize("from", *from)
+                    .usize("to", *to)
                     .f64("drc", *drc)
                     .opt_f64("score", *score)
                     .opt_f64("p_rc", *p_rc)
-                    .raw("violated", violated);
+                    .bool("violated", *violated);
             }
             Event::SimEnd {
                 label,
@@ -410,9 +415,9 @@ impl Event {
                 total_drc,
             } => {
                 f.str("label", label)
-                    .raw("events", events)
-                    .raw("reconfigurations", reconfigurations)
-                    .raw("violations", violations)
+                    .usize("events", *events)
+                    .usize("reconfigurations", *reconfigurations)
+                    .usize("violations", *violations)
                     .f64("total_drc", *total_drc);
             }
             Event::Inject {
@@ -422,8 +427,8 @@ impl Event {
                 err_prob,
             } => {
                 f.str("label", label)
-                    .raw("trials", trials)
-                    .raw("errors", errors)
+                    .u64("trials", *trials)
+                    .u64("errors", *errors)
                     .f64("err_prob", *err_prob);
             }
             Event::Fault {
@@ -438,7 +443,7 @@ impl Event {
                     .str("layer", layer)
                     .str("kind", kind)
                     .str("tenant", tenant)
-                    .raw("event", event)
+                    .usize("event", *event)
                     .str("action", action);
             }
             Event::DbSwap {
@@ -452,10 +457,10 @@ impl Event {
             } => {
                 f.str("label", label)
                     .str("tenant", tenant)
-                    .raw("event", event)
-                    .raw("from_gen", from_gen)
-                    .raw("to_gen", to_gen)
-                    .raw("points", points)
+                    .usize("event", *event)
+                    .u64("from_gen", *from_gen)
+                    .u64("to_gen", *to_gen)
+                    .usize("points", *points)
                     .str("status", status);
             }
             Event::Shadow {
@@ -471,11 +476,11 @@ impl Event {
             } => {
                 f.str("label", label)
                     .str("tenant", tenant)
-                    .raw("event", event)
+                    .usize("event", *event)
                     .str("variant", variant)
                     .str("serving", serving)
-                    .raw("live_choice", live_choice)
-                    .raw("shadow_choice", shadow_choice)
+                    .usize("live_choice", *live_choice)
+                    .usize("shadow_choice", *shadow_choice)
                     .f64("live_regret", *live_regret)
                     .f64("shadow_regret", *shadow_regret);
             }
@@ -488,8 +493,8 @@ impl Event {
             } => {
                 f.str("label", label)
                     .str("tenant", tenant)
-                    .raw("event", event)
-                    .raw("promotions", promotions)
+                    .usize("event", *event)
+                    .u64("promotions", *promotions)
                     .str("status", status);
             }
             Event::Span {
@@ -504,7 +509,7 @@ impl Event {
                     .f64("end", *end);
             }
             Event::Counter { name, value } => {
-                f.str("name", name).raw("value", value);
+                f.str("name", name).u64("value", *value);
             }
             Event::Gauge { name, value } => {
                 f.str("name", name).f64("value", *value);
@@ -520,7 +525,7 @@ impl Event {
                 f.str("name", name)
                     .f64s("bounds", bounds)
                     .u64s("counts", counts)
-                    .raw("total", total)
+                    .u64("total", *total)
                     .opt_f64("min", *min)
                     .opt_f64("max", *max);
             }
@@ -532,13 +537,13 @@ impl Event {
                 queue_hwm,
             } => {
                 f.str("site", site)
-                    .raw("items", items)
-                    .raw("workers", workers)
+                    .usize("items", *items)
+                    .usize("workers", *workers)
                     .u64s("per_worker", per_worker)
-                    .raw("queue_hwm", queue_hwm);
+                    .usize("queue_hwm", *queue_hwm);
             }
             Event::Wall { label, nanos } => {
-                f.str("label", label).raw("nanos", nanos);
+                f.str("label", label).u64("nanos", *nanos);
             }
         }
         out.push('}');
@@ -779,10 +784,18 @@ impl Fields<'_> {
         self
     }
 
-    /// A value whose `Display` form is already its JSON token: integers
-    /// and booleans.
-    fn raw(&mut self, key: &str, v: impl std::fmt::Display) -> &mut Self {
-        let _ = write!(self.key(key), "{v}");
+    fn u64(&mut self, key: &str, v: u64) -> &mut Self {
+        num::push_u64(self.key(key), v);
+        self
+    }
+
+    fn usize(&mut self, key: &str, v: usize) -> &mut Self {
+        num::push_usize(self.key(key), v);
+        self
+    }
+
+    fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        num::push_bool(self.key(key), v);
         self
     }
 

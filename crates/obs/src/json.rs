@@ -1,13 +1,13 @@
 //! Minimal hand-rolled JSON support: a deterministic writer (fixed key
-//! order, shortest-round-trip floats) and a small recursive-descent parser
-//! used by the journal round-trip lint.
+//! order, shortest-round-trip floats via [`crate::num`]) and a small
+//! recursive-descent parser used by the journal round-trip lint.
 //!
 //! The workspace has no crates.io access, so this module carries exactly
 //! the JSON surface the observability layer needs — nothing external is
 //! pulled in and the byte-level output is fully under our control, which
 //! is what makes journals byte-comparable across thread counts.
 
-use std::fmt::Write as _;
+use crate::num;
 
 /// A parsed JSON value.
 ///
@@ -108,7 +108,11 @@ pub fn write_str(out: &mut String, s: &str) {
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
             _ => {
-                let _ = write!(out, "\\u{b:04x}");
+                // A control character: `\u00XX` in lowercase hex.
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
         }
         run = i + 1;
@@ -117,12 +121,13 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends an `f64` deterministically: Rust's shortest-round-trip
-/// `Display` for finite values, `null` otherwise (the journal schema
-/// treats non-finite measurements as absent).
+/// Appends an `f64` deterministically: the shortest round-trip digits
+/// ([`num::push_f64`], byte-identical to `{}`) for finite values, `null`
+/// otherwise (the journal schema treats non-finite measurements as
+/// absent).
 pub fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        let _ = write!(out, "{x}");
+        num::push_f64(out, x);
     } else {
         out.push_str("null");
     }
@@ -151,93 +156,134 @@ pub fn write_f64_array(out: &mut String, xs: &[f64]) {
 /// Appends a slice of `u64` as a JSON array.
 pub fn write_u64_array(out: &mut String, xs: &[u64]) {
     out.push('[');
-    for (i, x) in xs.iter().enumerate() {
+    for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{x}");
+        num::push_u64(out, x);
     }
     out.push(']');
 }
 
 /// Parses one JSON document.
 ///
+/// The parser walks the input's bytes: JSON's structure is all ASCII, so
+/// a byte that is not a quote or a backslash inside a string is copied
+/// with its whole unescaped run, multi-byte characters included.
+///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut p = Parser {
-        chars: &bytes,
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.chars.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing input at offset {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    chars: &'a [char],
+    text: &'a str,
+    /// Byte offset; always on a character boundary between tokens.
     pos: usize,
 }
 
 impl Parser<'_> {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek();
+        if b.is_some() {
             self.pos += 1;
         }
-        c
+        b
+    }
+
+    /// The character at byte `at`, for error messages.
+    fn char_at(&self, at: usize) -> char {
+        self.text
+            .get(at..)
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(format!("expected '{c}', found '{got}' at {}", self.pos)),
-            None => Err(format!("expected '{c}', found end of input")),
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        match self.peek() {
+            Some(got) if got == c => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(format!(
+                "expected '{}', found '{}' at {}",
+                char::from(c),
+                self.char_at(self.pos),
+                self.pos + 1
+            )),
+            None => Err(format!("expected '{}', found end of input", char::from(c))),
         }
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        for c in word.chars() {
-            self.expect(c)?;
+        for &b in word.as_bytes() {
+            self.expect(b)?;
         }
         Ok(value)
     }
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') => self.literal("true", Value::Bool(true)),
-            Some('f') => self.literal("false", Value::Bool(false)),
-            Some('n') => self.literal("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected character '{c}' at {}", self.pos)),
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(_) => Err(format!(
+                "unexpected character '{}' at {}",
+                self.char_at(self.pos),
+                self.pos
+            )),
             None => Err("unexpected end of input".to_string()),
         }
     }
 
+    /// Consumes the `,` or the closing delimiter after a container item;
+    /// `true` when the container closed.
+    fn separator(&mut self, close: u8) -> Result<bool, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected ',' or '{}', found {:?}",
+                char::from(close),
+                self.text[self.pos..].chars().next()
+            )),
+        }
+    }
+
     fn object(&mut self) -> Result<Value, String> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Value::Obj(fields));
         }
@@ -245,24 +291,22 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
             fields.push((key, value));
             self.skip_ws();
-            match self.bump() {
-                Some(',') => {}
-                Some('}') => return Ok(Value::Obj(fields)),
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+            if self.separator(b'}')? {
+                return Ok(Value::Obj(fields));
             }
         }
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Value::Arr(items));
         }
@@ -270,55 +314,75 @@ impl Parser<'_> {
             self.skip_ws();
             items.push(self.value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => {}
-                Some(']') => return Ok(Value::Arr(items)),
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
+            if self.separator(b']')? {
+                return Ok(Value::Arr(items));
             }
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the unescaped run whole: it starts after an ASCII byte
+            // and ends at one (or at the end), so both ends are character
+            // boundaries.
+            let run = self.pos;
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.bump() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = self.bump().ok_or("truncated \\u escape")?;
-                            let d = c.to_digit(16).ok_or("bad hex digit in \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
+                Some(b'"') => return Ok(out),
+                Some(_) => self.escape(&mut out)?,
                 None => return Err("unterminated string".to_string()),
             }
         }
     }
 
+    /// Decodes the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        match self.bump() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let mut code = 0u32;
+                for _ in 0..4 {
+                    let b = self.bump().ok_or("truncated \\u escape")?;
+                    let d = char::from(b)
+                        .to_digit(16)
+                        .ok_or("bad hex digit in \\u escape")?;
+                    code = code * 16 + d;
+                }
+                out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
+            }
+            Some(_) => return Err(format!("bad escape {:?}", Some(self.char_at(self.pos - 1)))),
+            None => return Err("bad escape None".to_string()),
+        }
+        Ok(())
+    }
+
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while matches!(self.peek(), Some('-' | '+' | '.' | 'e' | 'E' | '0'..='9')) {
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
             self.pos += 1;
         }
-        let raw: String = self.chars[start..self.pos].iter().collect();
+        let raw = &self.text[start..self.pos];
         raw.parse::<f64>()
             .map_err(|_| format!("bad number token {raw:?}"))?;
-        Ok(Value::Num(raw))
+        Ok(Value::Num(raw.to_string()))
     }
 }
 
@@ -373,5 +437,22 @@ mod tests {
         assert_eq!(fmt(f64::NAN), "null");
         let x = 1.0 / 3.0;
         assert_eq!(fmt(x).parse::<f64>().unwrap(), x);
+    }
+
+    #[test]
+    fn non_ascii_and_unicode_escapes_round_trip() {
+        let label = "ré\u{1}\u{1F600}\"ñ\\";
+        let mut out = String::new();
+        write_str(&mut out, label);
+        assert_eq!(parse(&out).unwrap().as_str(), Some(label));
+        let v = parse(r#"["\u00e9\u0041", "日本", "\/"]"#).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("éA"));
+        assert_eq!(items[1].as_str(), Some("日本"));
+        assert_eq!(items[2].as_str(), Some("/"));
+        assert!(parse(r#""\u00g1""#).is_err());
+        assert!(parse(r#""\ud800""#).is_err());
+        assert!(parse("[\"é\" é]").is_err());
+        assert!(parse("é").is_err());
     }
 }

@@ -44,6 +44,7 @@
 
 pub mod event;
 mod json;
+pub mod num;
 pub mod recorder;
 pub mod telemetry;
 
@@ -55,7 +56,6 @@ pub use telemetry::{
     WindowStat, TELEMETRY_SCHEMA_VERSION,
 };
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -309,7 +309,8 @@ impl Obs {
                     start,
                     end,
                 } => {
-                    let _ = write!(out, "{comma}{{\"name\":");
+                    out.push_str(comma);
+                    out.push_str("{\"name\":");
                     json::write_str(&mut out, label);
                     out.push_str(",\"cat\":");
                     json::write_str(&mut out, clock);
@@ -324,20 +325,24 @@ impl Obs {
                 } => {
                     // The name is `<label>/g<gen>`: the escaped label with
                     // its closing quote reopened for the plain suffix.
-                    let _ = write!(out, "{comma}{{\"name\":");
+                    out.push_str(comma);
+                    out.push_str("{\"name\":");
                     json::write_str(&mut out, label);
                     out.pop();
-                    let _ = write!(out, "/g{gen}\",\"cat\":");
+                    out.push_str("/g");
+                    num::push_usize(&mut out, *gen);
+                    out.push_str("\",\"cat\":");
                     json::write_str(&mut out, algo);
-                    let _ = write!(
-                        out,
-                        ",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":{gen},\"dur\":1}}"
-                    );
+                    out.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":");
+                    num::push_usize(&mut out, *gen);
+                    out.push_str(",\"dur\":1}");
                 }
                 Event::Decision { cycle, to, .. } => {
-                    let _ = write!(
-                        out,
-                        "{comma}{{\"name\":\"to{to}\",\"cat\":\"decision\",\"ph\":\"i\",\"pid\":1,\"tid\":3,\"ts\":"
+                    out.push_str(comma);
+                    out.push_str("{\"name\":\"to");
+                    num::push_usize(&mut out, *to);
+                    out.push_str(
+                        "\",\"cat\":\"decision\",\"ph\":\"i\",\"pid\":1,\"tid\":3,\"ts\":",
                     );
                     json::write_f64(&mut out, *cycle);
                     out.push_str(",\"s\":\"t\"}");

@@ -11,9 +11,8 @@
 //! are byte-identical whenever the same events were observed in the
 //! same per-tenant order.
 
-use std::fmt::Write as _;
-
 use crate::json::{self, Value};
+use crate::num;
 
 /// Version stamp written into every [`TelemetrySnapshot`]; decoders
 /// reject other versions. Version 2 added the per-tenant active db
@@ -580,11 +579,15 @@ impl TelemetrySnapshot {
     /// trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.tenants.len() * 512);
-        let _ = write!(out, "{{\"schema\":{},\"label\":", self.schema);
+        out.push_str("{\"schema\":");
+        num::push_u64(&mut out, self.schema);
+        out.push_str(",\"label\":");
         json::write_str(&mut out, &self.label);
-        let _ = write!(out, ",\"events\":{},\"dropped\":[", self.events);
+        out.push_str(",\"events\":");
+        num::push_u64(&mut out, self.events);
+        out.push_str(",\"dropped\":[");
         for (i, (name, n)) in self.dropped.iter().enumerate() {
-            write_pair(&mut out, i, name, n);
+            write_pair(&mut out, i, name, *n);
         }
         out.push_str("],\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
@@ -649,23 +652,29 @@ impl TelemetrySnapshot {
 
 /// Appends the `i`-th `[name,value]` pair of a sparse list (with its
 /// leading comma after the first).
-fn write_pair(out: &mut String, i: usize, name: &str, value: impl std::fmt::Display) {
+fn write_pair(out: &mut String, i: usize, name: &str, value: u64) {
     if i > 0 {
         out.push(',');
     }
     out.push('[');
     json::write_str(out, name);
-    let _ = write!(out, ",{value}]");
+    out.push(',');
+    num::push_u64(out, value);
+    out.push(']');
 }
 
 fn encode_tenant(out: &mut String, t: &TenantTelemetry) {
     out.push_str("{\"name\":");
     json::write_str(out, &t.name);
-    let _ = write!(out, ",\"events\":{},\"status\":", t.events);
+    out.push_str(",\"events\":");
+    num::push_u64(out, t.events);
+    out.push_str(",\"status\":");
     json::write_str(out, &t.status);
-    let _ = write!(out, ",\"generation\":{},\"counters\":[", t.generation);
+    out.push_str(",\"generation\":");
+    num::push_u64(out, t.generation);
+    out.push_str(",\"counters\":[");
     for (i, (name, v)) in t.counters.iter().enumerate() {
-        write_pair(out, i, name, v);
+        write_pair(out, i, name, *v);
     }
     out.push_str("],\"windows\":[");
     for (i, (name, s)) in t.windows.iter().enumerate() {
@@ -674,11 +683,13 @@ fn encode_tenant(out: &mut String, t: &TenantTelemetry) {
         }
         out.push('[');
         json::write_str(out, name);
-        let _ = write!(
-            out,
-            ",{{\"window\":{},\"index\":{},\"len\":{},\"sum\":",
-            s.window, s.index, s.len
-        );
+        out.push_str(",{\"window\":");
+        num::push_u64(out, s.window);
+        out.push_str(",\"index\":");
+        num::push_u64(out, s.index);
+        out.push_str(",\"len\":");
+        num::push_u64(out, s.len);
+        out.push_str(",\"sum\":");
         json::write_f64(out, s.sum);
         out.push_str("}]");
     }
@@ -689,7 +700,9 @@ fn encode_tenant(out: &mut String, t: &TenantTelemetry) {
         }
         out.push('[');
         json::write_str(out, name);
-        let _ = write!(out, ",{{\"total\":{},\"min\":", h.total);
+        out.push_str(",{\"total\":");
+        num::push_u64(out, h.total);
+        out.push_str(",\"min\":");
         json::write_opt_f64(out, h.min_value());
         out.push_str(",\"max\":");
         json::write_opt_f64(out, h.max_value());
@@ -699,7 +712,11 @@ fn encode_tenant(out: &mut String, t: &TenantTelemetry) {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "[{idx},{c}]");
+            out.push('[');
+            num::push_usize(out, idx);
+            out.push(',');
+            num::push_u64(out, *c);
+            out.push(']');
         }
         out.push_str("]}]");
     }

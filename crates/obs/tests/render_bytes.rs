@@ -258,3 +258,251 @@ fn chrome_trace_renders_its_pinned_document() {
     });
     assert_eq!(obs.render_chrome(), CHROME);
 }
+
+/// The floats a shortest-digit writer most easily gets wrong: signed
+/// zero, the `{}` switch-over magnitudes, the smallest subnormal, the
+/// largest finite value and every non-finite value.
+const EDGE: [f64; 8] = [
+    -0.0,
+    1e21,
+    1e-7,
+    5e-324,
+    f64::MAX,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Every float-carrying event variant with `v` in each float field, and
+/// a decision with `score`/`p_rc` both absent.
+fn edge_events(v: f64) -> Vec<Event> {
+    vec![
+        Event::GaGen {
+            algo: s("nsga2"),
+            label: s("edge"),
+            gen: 1,
+            evals: 2,
+            feasible: 3,
+            front: 4,
+            archive: 5,
+            hv: Some(v),
+        },
+        Event::Episode {
+            index: 3,
+            steps: 4,
+            ret: v,
+        },
+        Event::Decision {
+            event: 9,
+            cycle: v,
+            feasible: 2,
+            from: 1,
+            to: 0,
+            drc: v,
+            score: Some(v),
+            p_rc: Some(v),
+            violated: false,
+        },
+        Event::Decision {
+            event: 10,
+            cycle: v,
+            feasible: 0,
+            from: 0,
+            to: 0,
+            drc: v,
+            score: None,
+            p_rc: None,
+            violated: true,
+        },
+        Event::SimEnd {
+            label: s("edge"),
+            events: 2,
+            reconfigurations: 1,
+            violations: 1,
+            total_drc: v,
+        },
+        Event::Inject {
+            label: s("edge"),
+            trials: 1,
+            errors: 0,
+            err_prob: v,
+        },
+        Event::Shadow {
+            label: s("edge"),
+            tenant: s("cam"),
+            event: 9,
+            variant: s("control"),
+            serving: s("live"),
+            live_choice: 0,
+            shadow_choice: 1,
+            live_regret: v,
+            shadow_regret: v,
+        },
+        Event::Span {
+            label: s("edge"),
+            clock: s("cycle"),
+            start: v,
+            end: v,
+        },
+        Event::Gauge {
+            name: s("edge"),
+            value: v,
+        },
+        Event::Histogram {
+            name: s("edge"),
+            bounds: vec![v, v],
+            counts: vec![1, 0, 1],
+            total: 2,
+            min: Some(v),
+            max: Some(v),
+        },
+    ]
+}
+
+/// 64-bit FNV-1a, to pin documents too long to spell out.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The two decision lines of `edge_events`, spelled out for the values
+/// whose text is short.
+const EDGE_DECISIONS: [(f64, [&str; 2]); 6] = [
+    (
+        -0.0,
+        [
+            "{\"seq\":2,\"type\":\"decision\",\"event\":9,\"cycle\":-0,\"feasible\":2,\"from\":1,\"to\":0,\"drc\":-0,\"score\":-0,\"p_rc\":-0,\"violated\":false}",
+            "{\"seq\":3,\"type\":\"decision\",\"event\":10,\"cycle\":-0,\"feasible\":0,\"from\":0,\"to\":0,\"drc\":-0,\"score\":null,\"p_rc\":null,\"violated\":true}",
+        ],
+    ),
+    (
+        1e21,
+        [
+            "{\"seq\":2,\"type\":\"decision\",\"event\":9,\"cycle\":1000000000000000000000,\"feasible\":2,\"from\":1,\"to\":0,\"drc\":1000000000000000000000,\"score\":1000000000000000000000,\"p_rc\":1000000000000000000000,\"violated\":false}",
+            "{\"seq\":3,\"type\":\"decision\",\"event\":10,\"cycle\":1000000000000000000000,\"feasible\":0,\"from\":0,\"to\":0,\"drc\":1000000000000000000000,\"score\":null,\"p_rc\":null,\"violated\":true}",
+        ],
+    ),
+    (
+        1e-7,
+        [
+            "{\"seq\":2,\"type\":\"decision\",\"event\":9,\"cycle\":0.0000001,\"feasible\":2,\"from\":1,\"to\":0,\"drc\":0.0000001,\"score\":0.0000001,\"p_rc\":0.0000001,\"violated\":false}",
+            "{\"seq\":3,\"type\":\"decision\",\"event\":10,\"cycle\":0.0000001,\"feasible\":0,\"from\":0,\"to\":0,\"drc\":0.0000001,\"score\":null,\"p_rc\":null,\"violated\":true}",
+        ],
+    ),
+    (
+        f64::NAN,
+        [
+            "{\"seq\":2,\"type\":\"decision\",\"event\":9,\"cycle\":null,\"feasible\":2,\"from\":1,\"to\":0,\"drc\":null,\"score\":null,\"p_rc\":null,\"violated\":false}",
+            "{\"seq\":3,\"type\":\"decision\",\"event\":10,\"cycle\":null,\"feasible\":0,\"from\":0,\"to\":0,\"drc\":null,\"score\":null,\"p_rc\":null,\"violated\":true}",
+        ],
+    ),
+    (
+        f64::INFINITY,
+        [
+            "{\"seq\":2,\"type\":\"decision\",\"event\":9,\"cycle\":null,\"feasible\":2,\"from\":1,\"to\":0,\"drc\":null,\"score\":null,\"p_rc\":null,\"violated\":false}",
+            "{\"seq\":3,\"type\":\"decision\",\"event\":10,\"cycle\":null,\"feasible\":0,\"from\":0,\"to\":0,\"drc\":null,\"score\":null,\"p_rc\":null,\"violated\":true}",
+        ],
+    ),
+    (
+        f64::NEG_INFINITY,
+        [
+            "{\"seq\":2,\"type\":\"decision\",\"event\":9,\"cycle\":null,\"feasible\":2,\"from\":1,\"to\":0,\"drc\":null,\"score\":null,\"p_rc\":null,\"violated\":false}",
+            "{\"seq\":3,\"type\":\"decision\",\"event\":10,\"cycle\":null,\"feasible\":0,\"from\":0,\"to\":0,\"drc\":null,\"score\":null,\"p_rc\":null,\"violated\":true}",
+        ],
+    ),
+];
+
+#[test]
+fn edge_float_decisions_render_their_pinned_lines() {
+    for (v, want) in EDGE_DECISIONS {
+        let events = edge_events(v);
+        assert_eq!(events[2].to_json_line(2), want[0], "{v:?}");
+        assert_eq!(events[3].to_json_line(3), want[1], "{v:?}");
+    }
+}
+
+/// `(length, FNV-1a)` of every `edge_events` line of each value.
+const EDGE_JOURNALS: [(usize, u64); 8] = [
+    (1011, 791342439999599351),
+    (1391, 4746284453343160731),
+    (1144, 9227378907397257133),
+    (7167, 11037521587191129507),
+    (6844, 6419735957569976144),
+    (1049, 14372223789558314691),
+    (1049, 14372223789558314691),
+    (1049, 14372223789558314691),
+];
+
+#[test]
+fn edge_float_journals_are_pinned() {
+    let got: Vec<(usize, u64)> = EDGE
+        .iter()
+        .map(|&v| {
+            let mut text = String::new();
+            for (seq, e) in (0u64..).zip(edge_events(v)) {
+                e.write_json_line(seq, &mut text);
+                text.push('\n');
+            }
+            (text.len(), fnv1a64(text.as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, EDGE_JOURNALS);
+}
+
+fn edge_snapshot() -> TelemetrySnapshot {
+    let mut extremes = QuantileHistogram::new();
+    let mut finite = QuantileHistogram::new();
+    for v in EDGE {
+        extremes.record(v);
+        if v.is_finite() {
+            finite.record(v);
+        }
+    }
+    let windows = EDGE
+        .iter()
+        .map(|&v| {
+            let mut w = RollingWindow::new(2);
+            w.push(v);
+            (format!("{v:?}"), w.stat())
+        })
+        .collect();
+    TelemetrySnapshot {
+        schema: TELEMETRY_SCHEMA_VERSION,
+        label: s("edge"),
+        events: u64::MAX,
+        dropped: Vec::new(),
+        tenants: vec![TenantTelemetry {
+            name: s("edge"),
+            events: u64::MAX,
+            status: s("normal"),
+            generation: u64::MAX,
+            counters: vec![(s("max"), u64::MAX)],
+            windows,
+            histograms: vec![(s("extremes"), extremes), (s("finite"), finite)],
+            flight: Vec::new(),
+        }],
+    }
+}
+
+const EDGE_SNAPSHOT: (usize, u64) = (1791, 11739659242260217089);
+
+#[test]
+fn edge_float_snapshot_is_pinned() {
+    let text = edge_snapshot().to_json();
+    assert_eq!((text.len(), fnv1a64(text.as_bytes())), EDGE_SNAPSHOT);
+}
+
+const EDGE_CHROME: (usize, u64) = (4330, 11298750981575143282);
+
+#[test]
+fn edge_float_chrome_trace_is_pinned() {
+    let obs = Obs::new(ObsMode::Chrome);
+    for v in EDGE {
+        for e in edge_events(v) {
+            obs.emit(e);
+        }
+    }
+    let text = obs.render_chrome();
+    assert_eq!((text.len(), fnv1a64(text.as_bytes())), EDGE_CHROME);
+}

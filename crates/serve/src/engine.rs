@@ -50,7 +50,7 @@ use std::fmt::Write as _;
 
 use clr_chaos::{FaultKind, FaultPlan};
 use clr_dse::QosSpec;
-use clr_obs::{Event, Obs};
+use clr_obs::{num, Event, Obs};
 
 use crate::wire::{PromoteStatus, SwapStatus};
 use crate::{Tenant, TenantSession, Trace, TraceEvent};
@@ -343,26 +343,29 @@ impl DecisionRecord {
     /// the one row writer behind [`ReplayReport::decisions_csv`], the
     /// flight recorder and `clr-serve wire-decode`.
     pub fn write_csv_row(&self, tenant: &str, out: &mut String) {
-        let _ = write!(
-            out,
-            "{tenant},{},{},{},{},{},{},{},{},",
-            self.event,
-            self.time,
-            self.spec.max_makespan,
-            self.spec.min_reliability,
-            self.feasible,
-            self.from,
-            self.to,
-            self.drc
-        );
-        if let Some(score) = self.score {
-            let _ = write!(out, "{score}");
+        out.push_str(tenant);
+        out.push(',');
+        num::push_usize(out, self.event);
+        for x in [self.time, self.spec.max_makespan, self.spec.min_reliability] {
+            out.push(',');
+            num::push_f64(out, x);
+        }
+        for n in [self.feasible, self.from, self.to] {
+            out.push(',');
+            num::push_usize(out, n);
         }
         out.push(',');
-        if let Some(p_rc) = self.p_rc {
-            let _ = write!(out, "{p_rc}");
+        num::push_f64(out, self.drc);
+        for x in [self.score, self.p_rc] {
+            out.push(',');
+            if let Some(x) = x {
+                num::push_f64(out, x);
+            }
         }
-        let _ = write!(out, ",{},{}", self.violated, self.status.as_str());
+        out.push(',');
+        num::push_bool(out, self.violated);
+        out.push(',');
+        out.push_str(self.status.as_str());
     }
 }
 

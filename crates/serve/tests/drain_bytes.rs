@@ -342,3 +342,71 @@ fn clean_drain_touches_only_its_counters() {
         ["{\"seq\":6,\"type\":\"counter\",\"name\":\"serve.events\",\"value\":2}"]
     );
 }
+
+/// The floats a shortest-digit writer most easily gets wrong: signed
+/// zero, the `{}` switch-over magnitudes, the smallest subnormal, the
+/// largest finite value and every non-finite value.
+const EDGE: [f64; 8] = [
+    -0.0,
+    1e21,
+    1e-7,
+    5e-324,
+    f64::MAX,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// One tenant whose decisions carry each edge value in every float
+/// field (time, both spec bounds, dRC, score, `p_rc`), once with
+/// `score`/`p_rc` present and once absent.
+fn edge_report(values: &[f64]) -> ReplayReport {
+    let n = ServeStatus::Normal;
+    let decisions = values
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &v)| {
+            let spec = QosSpec::new(v, v);
+            [
+                decision(2 * i + 1, v, spec, (0, 1), v, Some((v, v)), false, n, None),
+                decision(2 * i + 2, v, spec, (1, 1), v, None, true, n, None),
+            ]
+        })
+        .collect();
+    ReplayReport::from_parts(vec![outcome("edge", decisions)], Vec::new())
+}
+
+#[test]
+fn edge_float_csv_is_pinned() {
+    let short = [-0.0, 1e21, 1e-7, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    assert_eq!(
+        edge_report(&short).decisions_csv(),
+        concat!(
+            "tenant,event,time,s_max,f_min,feasible,from,to,drc,score,p_rc,violated,status\n",
+            "edge,1,-0,-0,-0,5,0,1,-0,-0,-0,false,normal\n",
+            "edge,2,-0,-0,-0,0,1,1,-0,,,true,normal\n",
+            "edge,3,1000000000000000000000,1000000000000000000000,1000000000000000000000,5,0,1,1000000000000000000000,1000000000000000000000,1000000000000000000000,false,normal\n",
+            "edge,4,1000000000000000000000,1000000000000000000000,1000000000000000000000,0,1,1,1000000000000000000000,,,true,normal\n",
+            "edge,5,0.0000001,0.0000001,0.0000001,5,0,1,0.0000001,0.0000001,0.0000001,false,normal\n",
+            "edge,6,0.0000001,0.0000001,0.0000001,0,1,1,0.0000001,,,true,normal\n",
+            "edge,7,NaN,NaN,NaN,5,0,1,NaN,NaN,NaN,false,normal\n",
+            "edge,8,NaN,NaN,NaN,0,1,1,NaN,,,true,normal\n",
+            "edge,9,inf,inf,inf,5,0,1,inf,inf,inf,false,normal\n",
+            "edge,10,inf,inf,inf,0,1,1,inf,,,true,normal\n",
+            "edge,11,-inf,-inf,-inf,5,0,1,-inf,-inf,-inf,false,normal\n",
+            "edge,12,-inf,-inf,-inf,0,1,1,-inf,,,true,normal\n",
+        )
+    );
+}
+
+#[test]
+fn edge_float_drain_bytes_are_pinned() {
+    assert_eq!(
+        drain(&edge_report(&EDGE)),
+        [
+            (7369, 6295782247819960349),
+            (6586, 15957657210773190382),
+            (8173, 1868934047664476337)
+        ]
+    );
+}
