@@ -65,12 +65,7 @@
 #                                    clr-verify stats lints (CLR066-068)
 #                                    and render through stats --json,
 #                                    the Prometheus exposition, and top
-#  12. bench artifact schema       — run telemetry_bench at the quick
-#                                    scale and check every committed
-#                                    results/BENCH_*.json carries the
-#                                    schema-versioned shape (schema,
-#                                    commit, per-group events_per_sec)
-#  13. clr-store replication       — publish the step-6 database as
+#  12. clr-store replication       — publish the step-6 database as
 #                                    lineage generation 0, mutate one
 #                                    design point and publish generation
 #                                    1, pull the delta into a replica
@@ -87,7 +82,7 @@
 #                                    report cam at generation 1, and the
 #                                    journal must carry the db_swap
 #                                    event and pass the CLR05x lints
-#  14. clr-learn online smoke      — seat an A/B learn fleet (cam pinned
+#  13. clr-learn online smoke      — seat an A/B learn fleet (cam pinned
 #                                    to the treatment arm, nav to control
 #                                    via the seeded assignment) on the
 #                                    step-8 snapshot, splice a regime
@@ -103,10 +98,11 @@
 #                                    lints, checkpoints and journal must
 #                                    pass the CLR09x learn lints, the
 #                                    A/B report must show cam serving
-#                                    live post-promote, and learn_bench
-#                                    must emit the schema-shaped
-#                                    results/BENCH_learn.json
-#  15. clr-audit (source lints)    — workspace-wide CLR1xx source audit:
+#                                    live post-promote; then learn_drift
+#                                    (frozen vs online AuRA under drift)
+#                                    at CLR_THREADS=8 must reproduce the
+#                                    committed results/learn_drift.csv
+#  14. clr-audit (source lints)    — workspace-wide CLR1xx source audit:
 #                                    wall-clock reads, unordered containers,
 #                                    partial_cmp float sorts, unseeded RNGs,
 #                                    raw spawns, panicking decision paths,
@@ -114,7 +110,7 @@
 #                                    annotation hygiene; any deny finding
 #                                    fails the gate, and the JSON report is
 #                                    left in target/ next to the journals
-#  16. perfbench build and checks  — build the benchmark (its own cargo
+#  15. perfbench build and checks  — build the benchmark (its own cargo
 #                                    workspace under perfbench/), so a
 #                                    serve API change that breaks it
 #                                    fails here, not in a benchmark run;
@@ -125,9 +121,13 @@
 #                                    output check; the second run checks
 #                                    its counts against the ledger the
 #                                    first wrote) must each exit 0 and
-#                                    report "failed": 0. The
-#                                    traced mode is left out: its
-#                                    rung-gap check is a timing check
+#                                    report "failed": 0; last one traced
+#                                    run per workload at seed 1
+#                                    (--trace 1: wire ladder, session
+#                                    rung, checkpoint and traced-drain
+#                                    checks) must report no failure
+#                                    except the rung-gap line, which is
+#                                    a timing check and is only printed
 #
 # Any failure aborts the script (set -e); clr-verify exits nonzero on
 # deny-level findings, so a model regression fails CI like a test would.
@@ -292,24 +292,8 @@ cmp "$SNAP1" "$SNAP8" \
 "$SERVE" top --snapshot "$SNAP8" | grep -q "^cam " \
   || { echo "clr-serve top did not render tenant cam"; exit 1; }
 
-step "bench artifact schema (results/BENCH_*.json)"
-cargo build --release --quiet -p clr-experiments --bin telemetry_bench
-BENCH_BACKUP=target/ci-bench-telemetry.json.bak
-cp results/BENCH_telemetry.json "$BENCH_BACKUP" 2>/dev/null || BENCH_BACKUP=
-CLR_QUICK=1 ./target/release/telemetry_bench >/dev/null 2>&1
-for f in results/BENCH_*.json; do
-  for key in '"schema"' '"commit"' '"events_per_sec"'; do
-    grep -q "$key" "$f" \
-      || { echo "$f missing the $key field"; exit 1; }
-  done
-done
-if [ -n "$BENCH_BACKUP" ]; then
-  mv "$BENCH_BACKUP" results/BENCH_telemetry.json
-fi
-
 step "clr-store replication (lineage publish, delta pull, GC, live SwapDb)"
 cargo build --release --quiet -p clr-store --bin clr-store
-cargo build --release --quiet -p clr-experiments --bin store_bench
 STORE_BIN=target/release/clr-store
 STORE_LOG=target/ci-store.log
 REPLICA_LOG=target/ci-store-replica.log
@@ -382,18 +366,6 @@ grep -q '"type":"db_swap"' "$SWAP_OBS8/served.obs.jsonl" \
 grep -q "tenant cam (gen 1)" "$SWAP_LOG" \
   || { cat "$SWAP_LOG"; echo "drain did not seat cam at generation 1"; exit 1; }
 "$VERIFY" journal "$SWAP_OBS8/served.obs.jsonl"
-# The delta-sync economics artifact: quick-scale run, then check the
-# committed full-scale numbers keep the schema shape (step 12 greps).
-STORE_BENCH_BACKUP=target/ci-bench-store.json.bak
-cp results/BENCH_store.json "$STORE_BENCH_BACKUP" 2>/dev/null || STORE_BENCH_BACKUP=
-CLR_QUICK=1 ./target/release/store_bench >/dev/null 2>&1
-for key in '"schema"' '"commit"' '"events_per_sec"'; do
-  grep -q "$key" results/BENCH_store.json \
-    || { echo "results/BENCH_store.json missing the $key field"; exit 1; }
-done
-if [ -n "$STORE_BENCH_BACKUP" ]; then
-  mv "$STORE_BENCH_BACKUP" results/BENCH_store.json
-fi
 
 step "clr-learn online serve (A/B fleet, mid-stream Promote, CLR09x gate)"
 # cam seed 1 → treatment (serves the online shadow table), nav seed 5 →
@@ -453,19 +425,14 @@ AB_REPORT=target/ci-learn-ab.txt
 "$SERVE" ab --journal "$LEARN_JOURNAL" > "$AB_REPORT"
 grep -q "arm treatment" "$AB_REPORT" \
   || { cat "$AB_REPORT"; echo "clr-serve ab did not refold the treatment arm"; exit 1; }
-# The drifting-fault-rate bench artifact: quick-scale run, then keep the
-# committed full-scale numbers (schema shape is checked by step 12).
-cargo build --release --quiet -p clr-experiments --bin learn_bench
-LEARN_BENCH_BACKUP=target/ci-bench-learn.json.bak
-cp results/BENCH_learn.json "$LEARN_BENCH_BACKUP" 2>/dev/null || LEARN_BENCH_BACKUP=
-CLR_QUICK=1 ./target/release/learn_bench >/dev/null 2>&1
-for key in '"schema"' '"commit"' '"events_per_sec"' '"prefetch_hit_rate_pct"'; do
-  grep -q "$key" results/BENCH_learn.json \
-    || { echo "results/BENCH_learn.json missing the $key field"; exit 1; }
-done
-if [ -n "$LEARN_BENCH_BACKUP" ]; then
-  mv "$LEARN_BENCH_BACKUP" results/BENCH_learn.json
-fi
+# The frozen-vs-online drift experiment reads no clock: a parallel run
+# must reproduce the committed table byte for byte.
+cargo build --release --quiet -p clr-experiments --bin learn_drift
+DRIFT_CSV=target/ci-learn-drift.csv
+cp results/learn_drift.csv "$DRIFT_CSV"
+CLR_THREADS=8 ./target/release/learn_drift >/dev/null 2>&1
+cmp "$DRIFT_CSV" results/learn_drift.csv \
+  || { cp "$DRIFT_CSV" results/learn_drift.csv; echo "learn_drift diverged from the committed results/learn_drift.csv"; exit 1; }
 
 step "clr-audit (workspace-wide CLR1xx source lints)"
 cargo build --release --quiet -p clr-audit --bin clr-audit
@@ -482,14 +449,34 @@ for run in fleet_wire:1 design_flow:1 design_flow:7919; do
   workload=${run%:*}
   seed=${run#*:}
   for pass in 1 2; do
-    PERFBENCH_LAST=$(perfbench/target/release/perfbench --workload "$workload" \
+    PERF_LAST=$(perfbench/target/release/perfbench --workload "$workload" \
       --seed "$seed" --seconds 0.001 --trace 0 | tail -n 1)
-    case "$PERFBENCH_LAST" in
+    case "$PERF_LAST" in
       *'"failed": 0,'*) ;;
-      *) echo "perfbench $workload seed $seed pass $pass: output checks failed: $PERFBENCH_LAST"
+      *) echo "perfbench $workload seed $seed pass $pass: output checks failed: $PERF_LAST"
          exit 1 ;;
     esac
   done
+done
+# Traced mode: one run per workload. Its rung-gap check compares two
+# wall-clock sums, so that one failure line is printed, not gated.
+for workload in fleet_wire design_flow; do
+  TRACE_OUT=target/ci-perfbench-trace-$workload.out
+  TRACE_ERR=target/ci-perfbench-trace-$workload.err
+  if perfbench/target/release/perfbench --workload "$workload" --seed 1 --trace 1 \
+    > "$TRACE_OUT" 2> "$TRACE_ERR"; then
+    TRACE_STATUS=0
+  else
+    TRACE_STATUS=$?
+  fi
+  grep '^  trace.gap_ratio' "$TRACE_OUT" || true
+  grep 'rung self times sum to' "$TRACE_ERR" || true
+  OTHER_FAILURES=$(grep 'perfbench: FAILED:' "$TRACE_ERR" | grep -v 'rung self times sum to' || true)
+  if [ -n "$OTHER_FAILURES" ] || { [ "$TRACE_STATUS" -ne 0 ] && [ "$TRACE_STATUS" -ne 1 ]; }; then
+    cat "$TRACE_ERR"
+    echo "perfbench traced $workload: output checks failed (exit $TRACE_STATUS)"
+    exit 1
+  fi
 done
 
 printf '\nci.sh: all gates passed.\n'

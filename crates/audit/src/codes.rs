@@ -10,14 +10,15 @@
 
 use std::fmt;
 
-/// How severe a source finding is.
+/// How severe a finding is. Both lint families share this scale:
+/// `clr-verify` re-exports it for its artifact lints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Suspicious but grandfatherable via the baseline file; does not
-    /// fail an audit.
+    /// Suspicious but not necessarily wrong; does not fail an audit. A
+    /// source warning can be grandfathered via the baseline file.
     Warn,
-    /// A broken determinism/reliability invariant; the tree must not
-    /// merge with this finding outstanding.
+    /// A broken invariant: the tree must not merge with a deny source
+    /// finding outstanding, nor an artifact with one be deployed.
     Deny,
 }
 

@@ -1,4 +1,4 @@
-//! `learn_bench` — frozen versus online policies under requirement drift.
+//! Frozen versus online AuRA under requirement drift.
 //!
 //! The drifting workload models a fault-pressure cycle: each tenant's
 //! QoS stream sweeps between a relaxed regime (loose reliability floor,
@@ -13,44 +13,28 @@
 //! comparable.
 //!
 //! The headline is realized service latency per served event:
-//! `makespan(active point) + reconfiguration stall`, where the online
-//! arm's stall is reduced by the dRC cycles the prefetcher overlapped
-//! with execution. Results go to stderr and to
-//! `results/BENCH_learn.json` in the same schema-versioned shape as the
-//! other benches (`schema`, `commit`, per-group `events_per_sec`).
-//! `CLR_QUICK=1` shrinks to smoke scale; throughput is wall-clock and
-//! machine-dependent, the decisions and latency sums stay deterministic.
-
-use std::io::Write as _;
-use std::time::Instant;
+//! `makespan(active point) + reconfiguration stall`, where each arm's
+//! stall is reduced by the dRC cycles its prefetcher overlapped with
+//! execution. The exploration regret is the ε-greedy candidate table's
+//! regret, which only the online arm serves. Every figure is a pure
+//! function of the seeds — no clock is read — so
+//! `results/learn_drift.csv` is the same at any `CLR_THREADS`. The
+//! scale is fixed (`CLR_FULL`/`CLR_QUICK` do not apply): the whole run
+//! takes well under a second in a release build.
 
 use clr_core::prelude::*;
 use clr_core::serve::{ReplayReport, ServeStatus};
+use clr_experiments::pct_increase;
+use clr_experiments::report::{f3, Table};
 use clr_learn::{assign_variant, Variant};
 
-/// Harness scale.
-struct Scale {
-    tenants: usize,
-    events_per_tenant: usize,
-}
+/// Tenants per fleet.
+const TENANTS: usize = 8;
 
-impl Scale {
-    fn from_env() -> Self {
-        if std::env::var("CLR_QUICK").is_ok_and(|v| v == "1") {
-            Self {
-                tenants: 4,
-                events_per_tenant: 1_500,
-            }
-        } else {
-            Self {
-                tenants: 8,
-                events_per_tenant: 6_000,
-            }
-        }
-    }
-}
+/// Drifting requests per tenant.
+const EVENTS_PER_TENANT: usize = 6_000;
 
-/// A tiny deterministic generator (same LCG the bench suite uses).
+/// A tiny deterministic generator (a 64-bit LCG).
 struct Lcg(u64);
 
 impl Lcg {
@@ -147,17 +131,6 @@ fn drifting_trace(tenants: &[Tenant], seed: u64, events_per_tenant: usize) -> Tr
     Trace::new(tagged.into_iter().map(|(_, _, e)| e).collect())
 }
 
-/// One timed replay; returns `(report, elapsed_seconds)`.
-fn timed_replay(tenants: &[Tenant], trace: &Trace) -> (ReplayReport, f64) {
-    let config = ReplayConfig::default();
-    // clr-audit: nondet(begin) throughput timing, reporting only
-    let start = Instant::now();
-    let report = replay(tenants, trace, &config).expect("synthetic replay is clean");
-    let elapsed = start.elapsed().as_secs_f64();
-    // clr-audit: nondet(end)
-    (report, elapsed)
-}
-
 /// Aggregated realized trajectory of one fleet run.
 struct Realized {
     served: u64,
@@ -169,7 +142,6 @@ struct Realized {
     oracle: f64,
     violations: u64,
     shadow_regret: f64,
-    live_regret: f64,
     hits: u64,
     misses: u64,
 }
@@ -186,7 +158,6 @@ fn realized(report: &ReplayReport, tenants: &[Tenant]) -> Realized {
         oracle: 0.0,
         violations: 0,
         shadow_regret: 0.0,
-        live_regret: 0.0,
         hits: 0,
         misses: 0,
     };
@@ -226,7 +197,6 @@ fn realized(report: &ReplayReport, tenants: &[Tenant]) -> Realized {
         if let Some(learn) = &outcome.learn {
             out.drc_overlapped += learn.prefetch_saved_drc;
             out.shadow_regret += learn.cum_shadow_regret;
-            out.live_regret += learn.cum_live_regret;
             out.hits += learn.prefetch_hits;
             out.misses += learn.prefetch_misses;
         }
@@ -250,12 +220,7 @@ impl Realized {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let threads = clr_par::resolve_threads(0);
-    eprintln!(
-        "# learn_bench: {} tenants, {} drift events/tenant, {} threads",
-        scale.tenants, scale.events_per_tenant, threads
-    );
+    eprintln!("# learn_drift: {TENANTS} tenants, {EVENTS_PER_TENANT} drift events/tenant");
 
     // TD(0) observes every served decision, so the candidate learns
     // from the natural drift without heavy exploration; a small ε keeps
@@ -270,132 +235,51 @@ fn main() {
             seed: arm_seed(name, arm),
         }
     };
-    let control = fleet(scale.tenants, learn_spec(Variant::Control));
-    let treatment = fleet(scale.tenants, learn_spec(Variant::Treatment));
-    let aura = fleet(scale.tenants, |_| PolicySpec::Aura {
-        p_rc: 0.5,
-        gamma: 0.6,
-        alpha: 0.1,
-    });
-    let trace = drifting_trace(&control, 2_027, scale.events_per_tenant);
+    let control = fleet(TENANTS, learn_spec(Variant::Control));
+    let treatment = fleet(TENANTS, learn_spec(Variant::Treatment));
+    let trace = drifting_trace(&control, 2_027, EVENTS_PER_TENANT);
     eprintln!("  trace: {} events over the fleet", trace.len());
 
-    // Throughput: the learn path (shadow scoring + TD updates +
-    // prefetch) versus the plain aura baseline on the same stream, best
-    // of three with rounds interleaved.
-    let mut learn_elapsed = f64::INFINITY;
-    let mut aura_elapsed = f64::INFINITY;
-    let mut online_report = None;
-    for _ in 0..3 {
-        let (r, e) = timed_replay(&treatment, &trace);
-        learn_elapsed = learn_elapsed.min(e);
-        online_report = Some(r);
-        let (_, e) = timed_replay(&aura, &trace);
-        aura_elapsed = aura_elapsed.min(e);
-    }
-    let online_report = online_report.expect("at least one round ran");
-    let (frozen_report, _) = timed_replay(&control, &trace);
-    let learn_rate = trace.len() as f64 / learn_elapsed.max(1e-9);
-    let aura_rate = trace.len() as f64 / aura_elapsed.max(1e-9);
-    let overhead_pct = (learn_elapsed / aura_elapsed.max(1e-9) - 1.0) * 100.0;
-    eprintln!(
-        "  aura baseline: {} events in {aura_elapsed:.3} s — {aura_rate:.0} events/s",
-        trace.len()
-    );
-    eprintln!(
-        "  online learn:  {} events in {learn_elapsed:.3} s — {learn_rate:.0} events/s \
-         ({overhead_pct:+.2} %)",
-        trace.len()
-    );
-
-    // Quality: frozen incumbent (all-control fleet) versus online
-    // candidate (all-treatment fleet) on identical tenants and trace.
+    // Frozen incumbent (all-control fleet) versus online candidate
+    // (all-treatment fleet) on identical tenants and trace.
+    let config = ReplayConfig::default();
+    let frozen_report = replay(&control, &trace, &config).expect("synthetic replay is clean");
+    let online_report = replay(&treatment, &trace, &config).expect("synthetic replay is clean");
     let frozen = realized(&frozen_report, &control);
     let online = realized(&online_report, &treatment);
-    let frozen_latency = frozen.latency_per_event();
-    let online_latency = online.latency_per_event();
-    let win_pct = (1.0 - online_latency / frozen_latency.max(1e-9)) * 100.0;
-    let hit_rate = if online.hits + online.misses > 0 {
-        100.0 * online.hits as f64 / (online.hits + online.misses) as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "  frozen incumbent: {:.1} cycles/event ({} served, {:.0} makespan + {:.0} stall, \
-         {} violations)",
-        frozen_latency, frozen.served, frozen.makespan, frozen.drc_paid, frozen.violations
+
+    println!("# Frozen vs online AuRA under a drifting fault-pressure trace");
+    let mut table = Table::new(
+        "Realized latency and regret: frozen incumbent vs online candidate",
+        &[
+            "arm",
+            "served",
+            "latency_cycles_per_event",
+            "cumulative_regret",
+            "violations",
+            "prefetch_hits",
+            "prefetch_misses",
+            "prefetch_saved_drc",
+            "exploration_regret",
+        ],
     );
-    eprintln!(
-        "  online candidate: {:.1} cycles/event ({} served, {:.0} makespan + {:.0} stall − \
-         {:.0} overlapped, {} violations)",
-        online_latency,
-        online.served,
-        online.makespan,
-        online.drc_paid,
-        online.drc_overlapped,
-        online.violations
-    );
-    let frozen_regret = frozen.cumulative_regret();
-    let online_regret = online.cumulative_regret();
-    eprintln!(
-        "  cumulative regret vs oracle: frozen {frozen_regret:.0} cycles, \
-         online {online_regret:.0} cycles"
-    );
-    eprintln!(
-        "  prefetch: {} hits / {} misses ({hit_rate:.1} % hit rate), \
-         exploration regret {:.2}",
-        online.hits, online.misses, online.shadow_regret
-    );
+    for (arm, r) in [("frozen", &frozen), ("online", &online)] {
+        table.row([
+            arm.to_string(),
+            r.served.to_string(),
+            f3(r.latency_per_event()),
+            format!("{:.2}", r.cumulative_regret()),
+            r.violations.to_string(),
+            r.hits.to_string(),
+            r.misses.to_string(),
+            format!("{:.2}", r.drc_overlapped),
+            format!("{:.4}", r.shadow_regret),
+        ]);
+    }
+    table.emit("learn_drift");
     for line in online_report.ab_lines() {
         eprintln!("  {line}");
     }
-    if online_latency < frozen_latency {
-        eprintln!(
-            "  verdict: online learning beats the frozen table under drift ({win_pct:+.2} %)"
-        );
-    } else {
-        eprintln!("  verdict: frozen table held its ground — check the drift model");
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": {},\n  \"bench\": \"learn\",\n  \"commit\": {:?},\n  \
-         \"tenants\": {},\n  \"threads\": {threads},\n  \"events\": {},\n  \
-         \"frozen_latency_cycles_per_event\": {frozen_latency:.3},\n  \
-         \"online_latency_cycles_per_event\": {online_latency:.3},\n  \
-         \"latency_win_pct\": {win_pct:.2},\n  \
-         \"frozen_cumulative_regret\": {frozen_regret:.2},\n  \
-         \"online_cumulative_regret\": {online_regret:.2},\n  \
-         \"frozen_violations\": {},\n  \"online_violations\": {},\n  \
-         \"prefetch_hits\": {},\n  \"prefetch_misses\": {},\n  \
-         \"prefetch_hit_rate_pct\": {hit_rate:.2},\n  \"prefetch_saved_drc\": {:.2},\n  \
-         \"online_exploration_regret\": {:.4},\n  \
-         \"learn_overhead_pct\": {overhead_pct:.2},\n  \"groups\": {{\n    \
-         \"replay_aura\": {{\"events\": {}, \"elapsed_s\": {aura_elapsed:.4}, \
-         \"events_per_sec\": {aura_rate:.0}}},\n    \
-         \"replay_learn\": {{\"events\": {}, \"elapsed_s\": {learn_elapsed:.4}, \
-         \"events_per_sec\": {learn_rate:.0}}}\n  }}\n}}\n",
-        clr_experiments::report::BENCH_SCHEMA_VERSION,
-        clr_experiments::report::bench_commit(),
-        scale.tenants,
-        trace.len(),
-        frozen.violations,
-        online.violations,
-        online.hits,
-        online.misses,
-        online.drc_overlapped,
-        online.shadow_regret,
-        trace.len(),
-        trace.len(),
-    );
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("  cannot create results/: {e}");
-        return;
-    }
-    match std::fs::File::create("results/BENCH_learn.json")
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        Ok(()) => eprintln!("  wrote results/BENCH_learn.json"),
-        Err(e) => eprintln!("  cannot write results/BENCH_learn.json: {e}"),
-    }
-    print!("{json}");
+    let change_pct = pct_increase(frozen.latency_per_event(), online.latency_per_event());
+    println!("\nOnline vs frozen realized latency: {change_pct:+.2}% cycles/event.");
 }

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const BINARIES: [&str; 11] = [
+const BINARIES: [&str; 12] = [
     "fig1",
     "table4",
     "fig5",
@@ -20,6 +20,7 @@ const BINARIES: [&str; 11] = [
     "ablations",
     "artifacts",
     "workloads",
+    "learn_drift",
 ];
 
 fn main() {

@@ -1,5 +1,5 @@
-//! Experiment kernels shared between the binaries and the Criterion
-//! benches. Each kernel regenerates the data behind one table or figure.
+//! Experiment kernels shared by the table and figure binaries and their
+//! tests. Each kernel regenerates the data behind one table or figure.
 
 use clr_core::prelude::*;
 use clr_core::runtime::HvPolicy;

@@ -2,8 +2,9 @@
 //! figure of the paper's evaluation (§5).
 //!
 //! Each binary (`fig1`, `table4`, `fig5`, `fig6`, `table5`, `table6`,
-//! `fig7`, `table7`) prints a markdown rendition of its table/figure data
-//! and writes the raw series as CSV under `results/`.
+//! `fig7`, `table7`, and the drift experiment `learn_drift`) prints a
+//! markdown rendition of its table/figure data and writes the raw series
+//! as CSV under `results/`.
 //!
 //! Scale is controlled by the `CLR_FULL` environment variable: unset, the
 //! experiments run at a laptop-friendly reduced scale (smaller GA budgets,

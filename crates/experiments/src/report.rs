@@ -106,25 +106,6 @@ impl Table {
     }
 }
 
-/// Schema version of the `results/BENCH_*.json` perf artifacts. Every
-/// bench binary stamps this plus [`bench_commit`] so a trajectory of
-/// BENCH files is self-describing; `ci.sh` greps for both.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// Short commit hash of the working tree for `BENCH_*.json` provenance,
-/// or `"unknown"` outside a git checkout.
-pub fn bench_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|hash| hash.trim().to_string())
-        .filter(|hash| !hash.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Formats a float with one decimal (the tables' precision).
 pub fn f1(x: f64) -> String {
     format!("{x:.1}")

@@ -1,5 +1,5 @@
 //! The deterministic journal section must be bit-identical for every
-//! worker-thread count (the acceptance criterion behind the `ci.sh`
+//! worker-thread count (the acceptance test behind the `ci.sh`
 //! instrumented smoke run, exercised here at the quick scale).
 
 use clr_core::prelude::*;

@@ -43,7 +43,7 @@
 //! <5 % overhead budget when observability is off.
 
 pub mod event;
-mod json;
+pub mod json;
 pub mod num;
 pub mod recorder;
 pub mod telemetry;

@@ -72,10 +72,6 @@ pub struct ReplayConfig {
     /// Quarantine a tenant after this many *consecutive* faulted events
     /// (`0` disables quarantine).
     pub quarantine_after: usize,
-    /// Accumulate per-tenant [`crate::HealthState`] telemetry (on by
-    /// default; turn off to shave the last few percent off the serve
-    /// hot path when nobody will ask for stats).
-    pub telemetry: bool,
 }
 
 impl Default for ReplayConfig {
@@ -85,7 +81,6 @@ impl Default for ReplayConfig {
             episode_cycles: 1_000.0,
             faults: FaultPlan::inert(0),
             quarantine_after: 3,
-            telemetry: true,
         }
     }
 }
@@ -282,7 +277,7 @@ pub struct TenantOutcome {
     pub learn: Option<LearnSummary>,
     /// Live telemetry registry (quantiles, dwell occupancy, rolling
     /// rates, flight recorder), accumulated alongside the counters
-    /// above when [`ReplayConfig::telemetry`] is on.
+    /// above.
     pub health: crate::HealthState,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! clr-served --tenant NAME=SNAP@POLICY.. [--batch N] [--threads N]
-//!            [--episode-cycles C] [--quarantine-after K] [--telemetry BOOL]
+//!            [--episode-cycles C] [--quarantine-after K]
 //!            [--obs-dir DIR] [--learn-dir DIR]
 //! ```
 //!
@@ -11,8 +11,7 @@
 //! bounded-queue backpressure, graceful drain on end-of-stream or an
 //! explicit shutdown frame. A stats-query frame is answered in stream
 //! position with a schema-v2 fleet telemetry snapshot (byte-identical
-//! at any `--threads` value); `--telemetry false` turns the health
-//! registries off, and stats queries then report empty tenants. Responses for a time-sorted trace are
+//! at any `--threads` value). Responses for a time-sorted trace are
 //! decision-for-decision identical to one batch `clr-serve replay` of
 //! the same fleet — `ci.sh` byte-compares the two via
 //! `clr-serve wire-encode` / `wire-decode`.
@@ -46,7 +45,7 @@ use clr_serve::cli::{flag, parse_fleet, split_flags};
 use clr_serve::{serve_stream, DaemonConfig, ReplayReport};
 
 const USAGE: &str = "usage: clr-served --tenant NAME=SNAP@POLICY.. \
-[--batch N] [--threads N] [--episode-cycles C] [--quarantine-after K] [--telemetry BOOL] \
+[--batch N] [--threads N] [--episode-cycles C] [--quarantine-after K] \
 [--obs-dir DIR] [--learn-dir DIR]";
 
 fn main() -> ExitCode {
@@ -57,7 +56,6 @@ fn main() -> ExitCode {
         "threads",
         "episode-cycles",
         "quarantine-after",
-        "telemetry",
         "obs-dir",
         "learn-dir",
     ];
@@ -91,13 +89,6 @@ fn main() -> ExitCode {
         match v.parse::<usize>() {
             Ok(k) => config.replay.quarantine_after = k,
             Err(_) => return usage_error("bad --quarantine-after"),
-        }
-    }
-    if let Some(v) = flag(&flags, "telemetry") {
-        match v {
-            "true" => config.replay.telemetry = true,
-            "false" => config.replay.telemetry = false,
-            other => return usage_error(&format!("bad --telemetry {other:?} (true or false)")),
         }
     }
     if let Some(dir) = flag(&flags, "learn-dir") {

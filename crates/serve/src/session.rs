@@ -124,7 +124,7 @@ impl<'a> TenantSession<'a> {
             }
         };
         let quarantined = ctx.is_none();
-        if quarantined && config.telemetry {
+        if quarantined {
             // A failed runtime context is a quarantine entry at seat
             // time: the registry reports it before any event arrives.
             outcome.health.last_status = ServeStatus::Quarantined;
@@ -437,9 +437,7 @@ impl<'a> TenantSession<'a> {
                 status: ServeStatus::Quarantined,
                 fault: None,
             };
-            if self.config.telemetry {
-                self.outcome.health.observe(&record, 0.0);
-            }
+            self.outcome.health.observe(&record, 0.0);
             self.outcome.decisions.push(record.clone());
             return record;
         };
@@ -571,17 +569,15 @@ impl<'a> TenantSession<'a> {
             status,
             fault,
         };
-        if self.config.telemetry {
-            // Decision "latency" in simulated time: how much makespan
-            // headroom the served point leaves under the requirement.
-            let slack = self
-                .makespans
-                .get(to)
-                .map_or(0.0, |m| (spec.max_makespan - m).max(0.0));
-            self.outcome.health.observe(&record, slack);
-            if entered_quarantine {
-                self.outcome.health.note_quarantine_entry();
-            }
+        // Decision "latency" in simulated time: how much makespan
+        // headroom the served point leaves under the requirement.
+        let slack = self
+            .makespans
+            .get(to)
+            .map_or(0.0, |m| (spec.max_makespan - m).max(0.0));
+        self.outcome.health.observe(&record, slack);
+        if entered_quarantine {
+            self.outcome.health.note_quarantine_entry();
         }
         self.outcome.decisions.push(record.clone());
         self.current = to;

@@ -1,26 +1,14 @@
-//! Structured diagnostics: severities, findings and renderable reports.
+//! Structured diagnostics: findings and renderable reports.
 
 use std::fmt;
 
+use clr_obs::json::write_str;
+
 use crate::LintCode;
 
-/// How severe a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Suspicious but not necessarily wrong; does not fail an audit.
-    Warn,
-    /// A broken invariant; the audited artifact must not be deployed.
-    Deny,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warn => write!(f, "warn"),
-            Severity::Deny => write!(f, "deny"),
-        }
-    }
-}
+/// How severe a finding is: the one severity scale both lint families
+/// (artifact `CLR0xx`, source `CLR1xx`) share.
+pub use clr_audit::Severity;
 
 /// One finding: a lint code anchored to an artifact and a location inside
 /// it, with a free-form detail string.
@@ -169,16 +157,19 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"code\":{},\"severity\":{},\"artifact\":{},\"location\":{},\"detail\":{},\"hint\":{}}}",
-                json_string(d.code.code()),
-                json_string(&d.severity().to_string()),
-                json_string(&d.artifact),
-                json_string(&d.location),
-                json_string(&d.detail),
-                json_string(d.fix_hint()),
-            );
+            let fields = [
+                ("{\"code\":", d.code.code()),
+                (",\"severity\":", &d.severity().to_string()),
+                (",\"artifact\":", &d.artifact),
+                (",\"location\":", &d.location),
+                (",\"detail\":", &d.detail),
+                (",\"hint\":", d.fix_hint()),
+            ];
+            for (key, value) in fields {
+                out.push_str(key);
+                write_str(&mut out, value);
+            }
+            out.push('}');
         }
         let _ = write!(
             out,
@@ -188,28 +179,6 @@ impl Report {
         );
         out
     }
-}
-
-/// Escapes a string into a JSON string literal (RFC 8259 §7).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -275,7 +244,15 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let mut r = Report::new();
+        r.push(Diagnostic::new(
+            LintCode::GraphCycle,
+            "a\"b\\c\nd",
+            "\u{1}",
+            "",
+        ));
+        let json = r.render_json();
+        assert!(json.contains("\"artifact\":\"a\\\"b\\\\c\\nd\""));
+        assert!(json.contains("\"location\":\"\\u0001\""));
     }
 }
