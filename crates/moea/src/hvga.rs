@@ -15,7 +15,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::hypervolume::{hypervolume, signed_hypervolume_fitness};
-use crate::{GaParams, ParetoArchive, Problem};
+use crate::problem::evaluate_brood;
+use crate::{Evaluation, GaParams, ParetoArchive, Problem};
+
+/// One scored population member. The evaluation is kept so a child equal
+/// to this member inherits it instead of being evaluated again.
+#[derive(Debug)]
+struct Member<S> {
+    solution: S,
+    eval: Evaluation,
+    fitness: f64,
+    feasible: bool,
+}
 
 /// The hyper-volume-maximisation GA.
 ///
@@ -108,10 +119,9 @@ impl<P: Problem> HvGa<P> {
         let mut archive = ParetoArchive::unbounded();
         let mut pool = clr_par::PoolStats::default();
 
-        let initial: Vec<P::Solution> = (0..p.population)
-            .map(|_| self.problem.random_solution(&mut rng))
+        let initial: Vec<(P::Solution, Option<Evaluation>)> = (0..p.population)
+            .map(|_| (self.problem.random_solution(&mut rng), None))
             .collect();
-        // (solution, fitness, feasible?)
         let mut pop = self.score_all(initial, &mut archive, &mut pool);
         self.emit_generation(0, &pop, &archive);
 
@@ -121,14 +131,19 @@ impl<P: Problem> HvGa<P> {
                 let a = self.tournament(&pop, &mut rng);
                 let b = self.tournament(&pop, &mut rng);
                 let mut child = if rng.gen_bool(p.crossover_prob) {
-                    self.problem.crossover(&pop[a].0, &pop[b].0, &mut rng)
+                    self.problem
+                        .crossover(&pop[a].solution, &pop[b].solution, &mut rng)
                 } else {
-                    pop[a].0.clone()
+                    pop[a].solution.clone()
                 };
                 if rng.gen_bool(p.mutation_prob.clamp(0.0, 1.0)) {
                     self.problem.mutate(&mut child, &mut rng);
                 }
-                children.push(child);
+                let inherited = [a, b]
+                    .into_iter()
+                    .find(|&i| pop[i].solution == child)
+                    .map(|i| pop[i].eval.clone());
+                children.push((child, inherited));
             }
             let mut next = self.score_all(children, &mut archive, &mut pool);
             // Elitism: keep the single best of the old generation. The old
@@ -138,7 +153,7 @@ impl<P: Problem> HvGa<P> {
             if let Some(best) = pop
                 .iter()
                 .enumerate()
-                .max_by(|(_, a), (_, b)| a.1.total_cmp(&b.1))
+                .max_by(|(_, a), (_, b)| a.fitness.total_cmp(&b.fitness))
                 .map(|(i, _)| i)
             {
                 std::mem::swap(&mut next[0], &mut pop[best]);
@@ -172,7 +187,7 @@ impl<P: Problem> HvGa<P> {
     fn emit_generation(
         &self,
         gen: usize,
-        pop: &[(P::Solution, f64, bool)],
+        pop: &[Member<P::Solution>],
         archive: &ParetoArchive<P::Solution>,
     ) {
         if !self.obs.enabled() {
@@ -184,35 +199,36 @@ impl<P: Problem> HvGa<P> {
             label: self.label.clone(),
             gen,
             evals: pop.len(),
-            feasible: pop.iter().filter(|(_, _, ok)| *ok).count(),
+            feasible: pop.iter().filter(|m| m.feasible).count(),
             front: archive.len(),
             archive: archive.len(),
             hv,
         });
     }
 
-    /// Evaluates a batch of solutions on the worker pool, then — serially,
-    /// in index order — offers feasible points to the archive and attaches
-    /// each solution's signed hyper-volume fitness.
+    /// Evaluates a batch of solutions on the worker pool (children that
+    /// inherited a parent's evaluation are not evaluated again), then —
+    /// serially, in index order — offers feasible points to the archive
+    /// and attaches each solution's signed hyper-volume fitness.
     fn score_all(
         &self,
-        solutions: Vec<P::Solution>,
+        brood: Vec<(P::Solution, Option<Evaluation>)>,
         archive: &mut ParetoArchive<P::Solution>,
         pool: &mut clr_par::PoolStats,
-    ) -> Vec<(P::Solution, f64, bool)> {
-        let (evals, stats) = clr_par::par_map_stats(self.params.threads, &solutions, |_, s| {
-            self.problem.evaluate(s)
-        });
-        pool.merge(&stats);
-        solutions
+    ) -> Vec<Member<P::Solution>> {
+        evaluate_brood(&self.problem, self.params.threads, brood, pool)
             .into_iter()
-            .zip(evals)
-            .map(|(s, eval)| {
+            .map(|(solution, eval)| {
                 let (fitness, feasible) = self.score(&eval);
                 if feasible {
-                    archive.offer(&s, eval.objectives);
+                    archive.offer(&solution, eval.objectives.clone());
                 }
-                (s, fitness, feasible)
+                Member {
+                    solution,
+                    eval,
+                    fitness,
+                    feasible,
+                }
             })
             .collect()
     }
@@ -220,7 +236,7 @@ impl<P: Problem> HvGa<P> {
     /// Signed hyper-volume fitness of one evaluation. Non-finite objective
     /// vectors are treated as hard-infeasible (`-inf` fitness) so they can
     /// never reach the archive or poison comparisons with NaN.
-    fn score(&self, eval: &crate::Evaluation) -> (f64, bool) {
+    fn score(&self, eval: &Evaluation) -> (f64, bool) {
         assert_eq!(
             eval.objectives.len(),
             self.reference.len(),
@@ -239,11 +255,11 @@ impl<P: Problem> HvGa<P> {
         (fitness, feasible)
     }
 
-    fn tournament(&self, pop: &[(P::Solution, f64, bool)], rng: &mut StdRng) -> usize {
+    fn tournament(&self, pop: &[Member<P::Solution>], rng: &mut StdRng) -> usize {
         let mut best = rng.gen_range(0..pop.len());
         for _ in 1..self.params.tournament.max(1) {
             let c = rng.gen_range(0..pop.len());
-            if pop[c].1 > pop[best].1 {
+            if pop[c].fitness > pop[best].fitness {
                 best = c;
             }
         }
@@ -254,7 +270,6 @@ impl<P: Problem> HvGa<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Evaluation;
     use rand::RngCore;
 
     fn unit(rng: &mut dyn RngCore) -> f64 {

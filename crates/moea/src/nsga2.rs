@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dominance::{crowding_distances, non_dominated_sort};
+use crate::problem::evaluate_brood;
 use crate::{Evaluation, GaParams, Problem};
 
 /// One evaluated population member.
@@ -30,6 +31,15 @@ impl<S> Individual<S> {
             violation: eval.violation,
             rank: usize::MAX,
             crowding: 0.0,
+        }
+    }
+
+    /// The evaluation this individual was built from, handed down to a
+    /// child equal to it.
+    fn evaluation(&self) -> Evaluation {
+        Evaluation {
+            objectives: self.objectives.clone(),
+            violation: self.violation,
         }
     }
 
@@ -108,8 +118,8 @@ impl<P: Problem> Nsga2<P> {
     pub fn run_population(&self, seed: u64) -> Vec<Individual<P::Solution>> {
         let p = &self.params;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_5eed_0bad_f00d);
-        let initial: Vec<P::Solution> = (0..p.population)
-            .map(|_| self.problem.random_solution(&mut rng))
+        let initial: Vec<(P::Solution, Option<Evaluation>)> = (0..p.population)
+            .map(|_| (self.problem.random_solution(&mut rng), None))
             .collect();
         let mut pool = clr_par::PoolStats::default();
         let mut pop = self.evaluate_all(initial, &mut pool);
@@ -130,7 +140,11 @@ impl<P: Problem> Nsga2<P> {
                 if rng.gen_bool(p.mutation_prob.clamp(0.0, 1.0)) {
                     self.problem.mutate(&mut child, &mut rng);
                 }
-                children.push(child);
+                let inherited = [a, b]
+                    .into_iter()
+                    .find(|&i| pop[i].solution == child)
+                    .map(|i| pop[i].evaluation());
+                children.push((child, inherited));
             }
             pop.extend(self.evaluate_all(children, &mut pool));
             assign_rank_and_crowding(&mut pop);
@@ -175,19 +189,15 @@ impl<P: Problem> Nsga2<P> {
     }
 
     /// Evaluates a batch of genotypes on the worker pool, preserving input
-    /// order.
+    /// order; a child that inherited a parent's evaluation is not
+    /// evaluated again.
     fn evaluate_all(
         &self,
-        solutions: Vec<P::Solution>,
+        brood: Vec<(P::Solution, Option<Evaluation>)>,
         pool: &mut clr_par::PoolStats,
     ) -> Vec<Individual<P::Solution>> {
-        let (evals, stats) = clr_par::par_map_stats(self.params.threads, &solutions, |_, s| {
-            self.problem.evaluate(s)
-        });
-        pool.merge(&stats);
-        solutions
+        evaluate_brood(&self.problem, self.params.threads, brood, pool)
             .into_iter()
-            .zip(evals)
             .map(|(s, e)| Individual::new(s, e))
             .collect()
     }

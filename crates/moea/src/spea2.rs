@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::dominance::dominates;
 use crate::nsga2::Individual;
+use crate::problem::evaluate_brood;
 use crate::{Evaluation, GaParams, Problem};
 
 /// The SPEA2 optimiser.
@@ -89,8 +90,8 @@ impl<P: Problem> Spea2<P> {
     pub fn run(&self, seed: u64) -> Vec<Individual<P::Solution>> {
         let p = &self.params;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5bea_2000_dead_beef);
-        let initial: Vec<P::Solution> = (0..p.population)
-            .map(|_| self.problem.random_solution(&mut rng))
+        let initial: Vec<(P::Solution, Option<Evaluation>)> = (0..p.population)
+            .map(|_| (self.problem.random_solution(&mut rng), None))
             .collect();
         let mut pool = clr_par::PoolStats::default();
         let mut population = self.evaluate_all(initial, &mut pool);
@@ -143,7 +144,7 @@ impl<P: Problem> Spea2<P> {
 
             // --- Mating from the archive. --------------------------------
             let arch_fitness = spea2_fitness(&archive);
-            let children: Vec<P::Solution> = (0..cap)
+            let children: Vec<(P::Solution, Option<Evaluation>)> = (0..cap)
                 .map(|_| {
                     let a = tournament(&arch_fitness, p.tournament, &mut rng);
                     let b = tournament(&arch_fitness, p.tournament, &mut rng);
@@ -156,7 +157,11 @@ impl<P: Problem> Spea2<P> {
                     if rng.gen_bool(p.mutation_prob.clamp(0.0, 1.0)) {
                         self.problem.mutate(&mut child, &mut rng);
                     }
-                    child
+                    let inherited = [a, b]
+                        .into_iter()
+                        .find(|&i| archive[i].solution == child)
+                        .map(|i| archive[i].eval.clone());
+                    (child, inherited)
                 })
                 .collect();
             population = self.evaluate_all(children, &mut pool);
@@ -204,19 +209,15 @@ impl<P: Problem> Spea2<P> {
     }
 
     /// Evaluates a batch of genotypes on the worker pool, preserving input
-    /// order.
+    /// order; a child that inherited a parent's evaluation is not
+    /// evaluated again.
     fn evaluate_all(
         &self,
-        solutions: Vec<P::Solution>,
+        brood: Vec<(P::Solution, Option<Evaluation>)>,
         pool: &mut clr_par::PoolStats,
     ) -> Vec<Entry<P::Solution>> {
-        let (evals, stats) = clr_par::par_map_stats(self.params.threads, &solutions, |_, s| {
-            self.problem.evaluate(s)
-        });
-        pool.merge(&stats);
-        solutions
+        evaluate_brood(&self.problem, self.params.threads, brood, pool)
             .into_iter()
-            .zip(evals)
             .map(|(solution, eval)| Entry { solution, eval })
             .collect()
     }

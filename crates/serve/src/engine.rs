@@ -497,18 +497,26 @@ impl ReplayReport {
                 .filter(|(_, l)| l.variant == variant)
                 .map(|(_, l)| *l)
                 .collect();
+            // Float totals fold from +0.0: `Iterator::sum` over an empty
+            // arm yields −0.0, which would print as `-0`.
             let decisions: u64 = arm.iter().map(|l| l.decisions).sum();
-            let live: f64 = arm.iter().map(|l| l.cum_live_regret).sum();
-            let shadow: f64 = arm.iter().map(|l| l.cum_shadow_regret).sum();
+            let live = arm.iter().fold(0.0, |acc, l| acc + l.cum_live_regret);
+            let shadow = arm.iter().fold(0.0, |acc, l| acc + l.cum_shadow_regret);
             lines.push(format!(
                 "arm {variant}: {} tenants, {decisions} scored decisions, \
                  cumulative regret live {live} shadow {shadow}",
                 arm.len()
             ));
         }
-        let live: f64 = learners.iter().map(|(_, l)| l.cum_live_regret).sum();
-        let shadow: f64 = learners.iter().map(|(_, l)| l.cum_shadow_regret).sum();
-        let saved: f64 = learners.iter().map(|(_, l)| l.prefetch_saved_drc).sum();
+        let live = learners
+            .iter()
+            .fold(0.0, |acc, (_, l)| acc + l.cum_live_regret);
+        let shadow = learners
+            .iter()
+            .fold(0.0, |acc, (_, l)| acc + l.cum_shadow_regret);
+        let saved = learners
+            .iter()
+            .fold(0.0, |acc, (_, l)| acc + l.prefetch_saved_drc);
         lines.push(format!(
             "verdict: candidate cumulative regret {shadow} vs incumbent {live} — {}; \
              prefetch overlapped {saved} dRC",
@@ -901,6 +909,40 @@ mod tests {
         assert_eq!(report.dropped, 0);
         // The CSV still has its header.
         assert_eq!(report.decisions_csv().lines().count(), 1);
+    }
+
+    #[test]
+    fn an_empty_ab_arm_reports_zero_regret() {
+        // One learning tenant: its arm has every tenant, the other none.
+        // The empty arm's totals must read `0`, not the `-0` an empty
+        // `Iterator::sum` of f64 gives, in the live report and in the
+        // journal refold alike.
+        let learn = PolicySpec::AuraLearn {
+            p_rc: 0.5,
+            gamma: 0.6,
+            alpha: 0.2,
+            epsilon: 0.1,
+            seed: 7,
+        };
+        let tenants = vec![tenant("cam0", 61, learn)];
+        let trace = generate_trace(&tenants, 3, 1_000.0, 100.0);
+        let report = replay(&tenants, &trace, &ReplayConfig::default()).unwrap();
+        let obs = clr_obs::Obs::new(ObsMode::Json);
+        report.emit_obs(&obs);
+        let refolded = crate::ab_report_from_journal(&obs.render_det_jsonl()).unwrap();
+        for lines in [report.ab_lines(), refolded] {
+            let arms: Vec<&String> = lines.iter().filter(|l| l.starts_with("arm ")).collect();
+            assert_eq!(arms.len(), 2, "{lines:?}");
+            let empty: Vec<&&String> = arms.iter().filter(|l| l.contains(" 0 tenants")).collect();
+            assert_eq!(empty.len(), 1, "{arms:?}");
+            assert!(
+                empty[0]
+                    .ends_with("0 tenants, 0 scored decisions, cumulative regret live 0 shadow 0"),
+                "{}",
+                empty[0]
+            );
+            assert!(lines.iter().all(|l| !l.contains("-0")), "{lines:?}");
+        }
     }
 
     #[test]

@@ -566,17 +566,18 @@ pub fn ab_report_from_journal(text: &str) -> Result<Vec<String>, String> {
             .map(|name| &tenants[name])
             .filter(|t| t.variant == variant)
             .collect();
+        // Folded from +0.0, as in `ab_lines`: an empty arm prints `0`.
         let decisions: u64 = arm.iter().map(|t| t.decisions).sum();
-        let live: f64 = arm.iter().map(|t| t.live_regret).sum();
-        let shadow: f64 = arm.iter().map(|t| t.shadow_regret).sum();
+        let live = arm.iter().fold(0.0, |acc, t| acc + t.live_regret);
+        let shadow = arm.iter().fold(0.0, |acc, t| acc + t.shadow_regret);
         lines.push(format!(
             "arm {variant}: {} tenants, {decisions} scored decisions, \
              cumulative regret live {live} shadow {shadow}",
             arm.len()
         ));
     }
-    let live: f64 = tenants.values().map(|t| t.live_regret).sum();
-    let shadow: f64 = tenants.values().map(|t| t.shadow_regret).sum();
+    let live = tenants.values().fold(0.0, |acc, t| acc + t.live_regret);
+    let shadow = tenants.values().fold(0.0, |acc, t| acc + t.shadow_regret);
     lines.push(format!(
         "verdict: candidate cumulative regret {shadow} vs incumbent {live} — {}",
         if shadow < live {
