@@ -17,8 +17,10 @@
 #                                    checked byte for byte against {})
 #   4. clr-verify all              — cross-layer model audit of the bundled
 #                                    presets (platforms, generators, HEFT,
-#                                    BaseD/ReD database, dRC matrix, policies,
-#                                    scenario suite)
+#                                    a jpeg BaseD database, the dRC matrices
+#                                    (CLR037) of that BaseD and of the ReD
+#                                    grown from it under a cap of eight
+#                                    extras, policies, scenario suite)
 #   5. clr-verify tgff <examples>  — audit of the example TGFF inputs
 #   6. export_db + clr-verify db   — text-codec round-trip of a real BaseD
 #                                    database, and of the ReD database grown

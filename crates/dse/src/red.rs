@@ -10,11 +10,13 @@
 //! average `dRC` to the Pareto set, under a bounded tolerance on the
 //! degradation of the seed's own QoS/performance metrics.
 
+use std::sync::{Mutex, PoisonError};
+
 use clr_moea::{Evaluation, GaParams, Nsga2, Problem};
 use clr_obs::{Event, Obs};
 use clr_platform::Platform;
 use clr_reliability::{ConfigSpace, FaultModel};
-use clr_sched::{reconfiguration_cost, Mapping};
+use clr_sched::{DrcBuffers, DrcSources, Mapping};
 use clr_taskgraph::TaskGraph;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -124,7 +126,7 @@ pub fn explore_red_with(
     obs: &Obs,
 ) -> DesignPointDb {
     assert!(!based.is_empty(), "based database must not be empty");
-    let based_mappings: Vec<Mapping> = based.iter().map(|p| p.mapping.clone()).collect();
+    let based_sources = DrcSources::new(graph, based.iter().map(|p| &p.mapping));
 
     let mut db = DesignPointDb::new("red");
     for p in based {
@@ -154,14 +156,22 @@ pub fn explore_red_with(
                 inner.objectives(&seed_point.mapping),
                 "BaseD point {i}'s stored metrics disagree with a fresh evaluation"
             );
-            let seed_avg_drc = average_drc(graph, platform, &based_mappings, &seed_point.mapping);
+            let mut drc_buffers = DrcBuffers::default();
+            let seed_avg_drc = average_drc(
+                graph,
+                platform,
+                &based_sources,
+                &seed_point.mapping,
+                &mut drc_buffers,
+            );
             let problem = RedProblem {
                 inner,
                 graph,
                 platform,
                 seed_mapping: seed_point.mapping.clone(),
                 seed_objectives: seed_objs,
-                based_mappings: &based_mappings,
+                based_sources: &based_sources,
+                drc_buffers: Mutex::new(drc_buffers),
                 tolerance: config.tolerance,
             };
             let front = Nsga2::new(problem, inner_ga).run(seed.wrapping_add(i as u64 * 7919));
@@ -209,8 +219,9 @@ pub fn explore_red_with(
     // Honour the total storage constraint: extras are evicted worst (highest
     // average dRC to the Pareto set) first; Pareto points always survive.
     if let Some(cap) = config.max_total {
+        let mut buffers = DrcBuffers::default();
         db = evict_extras(db, cap.max(based.len()), |p| {
-            average_drc(graph, platform, &based_mappings, &p.mapping)
+            average_drc(graph, platform, &based_sources, &p.mapping, &mut buffers)
         });
     }
     if obs.enabled() {
@@ -233,7 +244,11 @@ pub fn explore_red_with(
 /// Drops reconfiguration-aware points until at most `cap` remain (or none
 /// of them is left), worst `drc` first; ties go to the later point. Each
 /// point's `drc` is computed once, and the survivors keep their order.
-fn evict_extras(db: DesignPointDb, cap: usize, drc: impl Fn(&DesignPoint) -> f64) -> DesignPointDb {
+fn evict_extras(
+    db: DesignPointDb,
+    cap: usize,
+    mut drc: impl FnMut(&DesignPoint) -> f64,
+) -> DesignPointDb {
     let excess = db.len().saturating_sub(cap);
     if excess == 0 {
         return db;
@@ -258,21 +273,23 @@ fn evict_extras(db: DesignPointDb, cap: usize, drc: impl Fn(&DesignPoint) -> f64
     kept
 }
 
-/// Mean reconfiguration cost of adapting from each stored mapping to `to`.
+/// Mean reconfiguration cost of adapting from each source mapping to
+/// `to`: the per-source totals summed in source order.
 pub(crate) fn average_drc(
     graph: &TaskGraph,
     platform: &Platform,
-    from_set: &[Mapping],
+    sources: &DrcSources,
     to: &Mapping,
+    buffers: &mut DrcBuffers,
 ) -> f64 {
-    if from_set.is_empty() {
+    if sources.is_empty() {
         return 0.0;
     }
-    from_set
+    sources
+        .totals(graph, platform, to, buffers)
         .iter()
-        .map(|from| reconfiguration_cost(graph, platform, from, to).total())
         .sum::<f64>()
-        / from_set.len() as f64
+        / sources.len() as f64
 }
 
 /// The per-seed neighbourhood problem: the inner mapping objectives plus
@@ -284,7 +301,10 @@ struct RedProblem<'a> {
     platform: &'a Platform,
     seed_mapping: Mapping,
     seed_objectives: Vec<f64>,
-    based_mappings: &'a [Mapping],
+    based_sources: &'a DrcSources,
+    /// `evaluate` takes `&self`; the inner GA runs serially, so the lock
+    /// is never contended.
+    drc_buffers: Mutex<DrcBuffers>,
     tolerance: f64,
 }
 
@@ -316,7 +336,16 @@ impl Problem for RedProblem<'_> {
                 violation += (o - bound) / scale;
             }
         }
-        let drc = average_drc(self.graph, self.platform, self.based_mappings, mapping);
+        let drc = average_drc(
+            self.graph,
+            self.platform,
+            self.based_sources,
+            mapping,
+            &mut self
+                .drc_buffers
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         let mut objectives = inner_eval.objectives;
         objectives.push(drc);
         Evaluation::with_violation(objectives, violation)
@@ -556,7 +585,7 @@ mod tests {
             0.0,
             PointOrigin::Pareto,
         );
-        let based = [pareto.mapping.clone()];
+        let based = DrcSources::new(&graph, [&pareto.mapping]);
         // Two equal-dRC pairs: one differs only in the CLR configuration,
         // the other only in the priority. Moving costs dRC, so the moved
         // pair is worse than the unmoved one.
@@ -580,7 +609,15 @@ mod tests {
                 PointOrigin::ReconfigAware,
             ));
         }
-        let drc = |p: &DesignPoint| average_drc(&graph, &platform, &based, &p.mapping);
+        let drc = |p: &DesignPoint| {
+            average_drc(
+                &graph,
+                &platform,
+                &based,
+                &p.mapping,
+                &mut DrcBuffers::default(),
+            )
+        };
         assert_eq!(drc(&db.points()[1]), drc(&db.points()[3]));
         assert!(drc(&db.points()[1]) > 0.0);
         assert_eq!(drc(&db.points()[2]), drc(&db.points()[4]));
@@ -611,8 +648,11 @@ mod tests {
         let graph = TgffGenerator::new(TgffConfig::with_tasks(8)).generate(1);
         let platform = Platform::dac19();
         let m = Mapping::first_fit(&graph, &platform).unwrap();
-        let d = average_drc(&graph, &platform, std::slice::from_ref(&m), &m);
+        let mut buffers = DrcBuffers::default();
+        let sources = DrcSources::new(&graph, [&m]);
+        let d = average_drc(&graph, &platform, &sources, &m, &mut buffers);
         assert_eq!(d, 0.0);
-        assert_eq!(average_drc(&graph, &platform, &[], &m), 0.0);
+        let none = DrcSources::new(&graph, []);
+        assert_eq!(average_drc(&graph, &platform, &none, &m, &mut buffers), 0.0);
     }
 }

@@ -49,7 +49,9 @@ impl std::fmt::Display for Variant {
 }
 
 /// FNV-1a 64 over a byte string — the workspace's standard cheap stable
-/// hash (same constants as the snapshot and wire checksums).
+/// hash: tenant A/B assignment here, and the integrity checksum of
+/// snapshot and wire payloads in `clr-serve`, which re-exports it. Not
+/// cryptographic; it guards against truncation and bit rot.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

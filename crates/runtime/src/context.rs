@@ -6,7 +6,7 @@ use std::cmp::Ordering;
 
 use clr_dse::{DesignPointDb, FeasibilityIndex, QosSpec};
 use clr_platform::Platform;
-use clr_sched::reconfiguration_cost;
+use clr_sched::{DrcBuffers, DrcSources};
 use clr_stats::Normalizer;
 use clr_taskgraph::TaskGraph;
 
@@ -52,9 +52,10 @@ impl<'a> RuntimeContext<'a> {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::EmptyDatabase`] for an empty database and
-    /// [`RuntimeError::NonFiniteMetric`] when a stored energy or a derived
-    /// reconfiguration cost is not finite.
+    /// [`RuntimeError::EmptyDatabase`] for an empty database,
+    /// [`RuntimeError::InvalidMapping`] when a stored mapping does not fit
+    /// the graph and platform, and [`RuntimeError::NonFiniteMetric`] when
+    /// a stored energy or a derived reconfiguration cost is not finite.
     pub fn try_new(
         graph: &TaskGraph,
         platform: &Platform,
@@ -89,25 +90,34 @@ impl<'a> RuntimeContext<'a> {
         }
         let points = db.points();
         let n = points.len();
+        // The kernel indexes every mapping by task; a point that does not
+        // fit the graph and platform is an input error, not a panic.
+        for (point, p) in points.iter().enumerate() {
+            p.mapping
+                .validate(graph, platform)
+                .map_err(|source| RuntimeError::InvalidMapping { point, source })?;
+        }
+        // Column j holds the costs from every point to point j: one
+        // kernel pass per target (the diagonal comes out +0.0).
+        let sources = DrcSources::new(graph, points.iter().map(|p| &p.mapping));
+        let mut buffers = DrcBuffers::default();
         let mut drc = vec![0.0f64; n * n];
+        for (j, to) in points.iter().enumerate() {
+            let column = sources.totals(graph, platform, &to.mapping, &mut buffers);
+            for (i, &c) in column.iter().enumerate() {
+                drc[i * n + j] = c;
+            }
+        }
         let mut max_drc = 0.0f64;
-        for (i, row) in drc.chunks_exact_mut(n).enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let c =
-                    reconfiguration_cost(graph, platform, &points[i].mapping, &points[j].mapping)
-                        .total();
-                if !c.is_finite() {
-                    return Err(RuntimeError::NonFiniteMetric {
-                        what: format!("dRC({i},{j})"),
-                    });
-                }
-                *cell = c;
-                if c > max_drc {
-                    max_drc = c;
-                }
+        for (k, &c) in drc.iter().enumerate() {
+            if !c.is_finite() {
+                let (i, j) = (k / n, k % n);
+                return Err(RuntimeError::NonFiniteMetric {
+                    what: format!("dRC({i},{j})"),
+                });
+            }
+            if c > max_drc {
+                max_drc = c;
             }
         }
         let energy_norm = Normalizer::from_values(db.iter().map(|p| p.metrics.energy)).ok_or(
@@ -305,7 +315,8 @@ mod tests {
     use clr_dse::{explore_based, DseConfig, ExplorationMode};
     use clr_moea::GaParams;
     use clr_reliability::{ConfigSpace, FaultModel};
-    use clr_taskgraph::{TgffConfig, TgffGenerator};
+    use clr_sched::{reconfiguration_cost, Mapping, MappingError};
+    use clr_taskgraph::{jpeg_encoder, ImplId, TgffConfig, TgffGenerator};
 
     fn fixture() -> (TaskGraph, Platform, DesignPointDb) {
         let graph = TgffGenerator::new(TgffConfig::with_tasks(8)).generate(17);
@@ -495,6 +506,76 @@ mod tests {
             RuntimeContext::try_new(&g, &p, &empty).unwrap_err(),
             RuntimeError::EmptyDatabase
         );
+    }
+
+    /// `db` with point `at`'s mapping replaced by `mapping`.
+    fn with_mapping(db: &DesignPointDb, at: usize, mapping: Mapping) -> DesignPointDb {
+        let mut out = DesignPointDb::new(db.name().to_string());
+        for (i, point) in db.iter().enumerate() {
+            let mut point = point.clone();
+            if i == at {
+                point.mapping = mapping.clone();
+            }
+            out.push(point);
+        }
+        out
+    }
+
+    #[test]
+    fn try_new_reports_a_mapping_of_another_graph_as_a_typed_error() {
+        // A 40-gene mapping stored for the 11-task jpeg encoder.
+        let p = Platform::dac19();
+        let jpeg = jpeg_encoder();
+        let cfg = DseConfig {
+            ga: GaParams::small(),
+            mode: ExplorationMode::Full,
+            reference: None,
+            max_points: None,
+        };
+        let db = explore_based(
+            &jpeg,
+            &p,
+            FaultModel::default(),
+            ConfigSpace::fine(),
+            &cfg,
+            3,
+        );
+        let tgff = TgffGenerator::new(TgffConfig::with_tasks(40)).generate(1);
+        let foreign = Mapping::first_fit(&tgff, &p).unwrap();
+        let at = db.len() - 1;
+        let bad = with_mapping(&db, at, foreign);
+        assert_eq!(
+            RuntimeContext::try_new(&jpeg, &p, &bad).unwrap_err(),
+            RuntimeError::InvalidMapping {
+                point: at,
+                source: MappingError::LengthMismatch {
+                    genes: 40,
+                    tasks: jpeg.num_tasks(),
+                },
+            }
+        );
+        assert!(RuntimeContext::try_new(&jpeg, &p, &db).is_ok());
+    }
+
+    #[test]
+    fn try_new_reports_an_out_of_range_implementation_as_a_typed_error() {
+        let (g, p, db) = fixture();
+        let mut mapping = db.get(0).unwrap().mapping.clone();
+        let impls = g.implementations(0.into()).len();
+        mapping.genes_mut()[0].impl_id = ImplId::new(impls);
+        let bad = with_mapping(&db, 0, mapping);
+        let err = RuntimeContext::try_new(&g, &p, &bad).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::InvalidMapping {
+                point: 0,
+                source: MappingError::UnknownImpl {
+                    task: 0,
+                    impl_id: impls,
+                },
+            }
+        );
+        assert!(std::error::Error::source(&err).is_some());
     }
 
     #[test]

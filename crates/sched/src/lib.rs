@@ -50,7 +50,7 @@ pub use evaluate::{Evaluator, SystemMetrics};
 pub use gantt::{gantt_ascii, schedule_csv};
 pub use heft::heft_mapping;
 pub use mapping::{Gene, Mapping};
-pub use reconfig::{reconfiguration_cost, ReconfigBreakdown};
+pub use reconfig::{reconfiguration_cost, DrcBuffers, DrcSources, ReconfigBreakdown};
 pub use scheduler::{list_schedule, Schedule, ScheduleEntry};
 pub use utilization::{utilization, validate_schedule, ScheduleViolation, Utilization};
 

@@ -16,10 +16,10 @@
 //!    accelerated implementations).
 
 use clr_platform::Platform;
-use clr_taskgraph::TaskGraph;
+use clr_taskgraph::{TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
-use crate::Mapping;
+use crate::{Gene, Mapping};
 
 /// Itemised reconfiguration cost between two mappings.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -82,7 +82,6 @@ pub fn reconfiguration_cost(
     assert_eq!(from.len(), n, "`from` mapping length mismatch");
     assert_eq!(to.len(), n, "`to` mapping length mismatch");
 
-    let ic = platform.interconnect();
     let mut out = ReconfigBreakdown::default();
     for t in graph.task_ids() {
         let a = from.gene(t);
@@ -91,17 +90,206 @@ pub fn reconfiguration_cost(
         if !moved {
             continue;
         }
+        let terms = move_terms(graph, platform, t, b);
         out.migrated_tasks += 1;
-        let im = graph.implementation(t, b.impl_id);
-        let kib = im.binary_kib() as f64;
-        out.migration_time += ic.transfer_time(kib);
-        out.migration_energy += ic.transfer_energy(kib);
-        if im.accelerated() && platform.num_prrs() > 0 {
-            let prr = platform.prrs()[t.index() % platform.num_prrs()];
-            out.bitstream_time += prr.reload_cost();
-        }
+        out.migration_time += terms.migration_time;
+        out.migration_energy += terms.migration_energy;
+        out.bitstream_time += terms.bitstream_time;
     }
     out
+}
+
+/// The cost terms of one moved task.
+struct MoveTerms {
+    migration_time: f64,
+    migration_energy: f64,
+    bitstream_time: f64,
+}
+
+/// What moving task `t` onto gene `to` costs: the copy of its new binary
+/// over the interconnect, plus the reload of the PRR it lands in when the
+/// new implementation is accelerated (PRRs are assigned round-robin by
+/// task index). The one statement of the cost model: both
+/// [`reconfiguration_cost`] and [`DrcSources`] add these terms.
+fn move_terms(graph: &TaskGraph, platform: &Platform, t: TaskId, to: &Gene) -> MoveTerms {
+    let ic = platform.interconnect();
+    let im = graph.implementation(t, to.impl_id);
+    let kib = im.binary_kib() as f64;
+    let bitstream_time = if im.accelerated() && platform.num_prrs() > 0 {
+        platform.prrs()[t.index() % platform.num_prrs()].reload_cost()
+    } else {
+        0.0
+    };
+    MoveTerms {
+        migration_time: ic.transfer_time(kib),
+        migration_energy: ic.transfer_energy(kib),
+        bitstream_time,
+    }
+}
+
+/// The `(pe, impl)` pair of a gene as one comparable word: a task moves
+/// between two mappings exactly when its keys in them differ.
+///
+/// # Panics
+///
+/// Panics if the PE or implementation index does not fit 32 bits.
+fn placement_key(gene: &Gene) -> u64 {
+    let half =
+        |index: usize| u32::try_from(index).expect("pe and implementation indices fit 32 bits");
+    (u64::from(half(gene.pe.index())) << 32) | u64::from(half(gene.impl_id.index()))
+}
+
+/// A fixed set of source mappings, packed for the `dRC` from each of them
+/// to one target at a time: the quantity ReD ranks its extra points by
+/// (the average `dRC` to the Pareto set) and one column of a run-time
+/// context's `dRC` matrix.
+///
+/// Each source keeps one placement key per task, stored task-major
+/// (`keys[t * n + f]` for source `f` of `n`). [`DrcSources::totals`] then
+/// walks the tasks once, computes the target's terms for each task once,
+/// and adds them into every source's two accumulators with a
+/// straight-line select over that task's keys; a task that no source
+/// moves is skipped. Every total is bit-equal
+/// to `reconfiguration_cost(from, to).total()`: each source adds the same
+/// terms in the same task order, and the `+0.0` an unmoved task adds
+/// leaves a partial sum unchanged (a sum that starts at `+0.0` is never
+/// `-0.0`).
+///
+/// # Examples
+///
+/// ```
+/// use clr_platform::Platform;
+/// use clr_sched::{reconfiguration_cost, DrcBuffers, DrcSources, Mapping};
+/// use clr_taskgraph::jpeg_encoder;
+///
+/// let g = jpeg_encoder();
+/// let p = Platform::dac19();
+/// let m = Mapping::first_fit(&g, &p).unwrap();
+/// let sources = DrcSources::new(&g, [&m, &m]);
+/// let mut buffers = DrcBuffers::default();
+/// let totals = sources.totals(&g, &p, &m, &mut buffers);
+/// assert_eq!(totals, [reconfiguration_cost(&g, &p, &m, &m).total(); 2]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DrcSources {
+    sources: usize,
+    keys: Vec<u64>,
+    /// Per task, the key every source shares, if they all share one.
+    shared: Vec<Option<u64>>,
+}
+
+/// Caller-owned accumulators of [`DrcSources::totals`], reused across
+/// targets so the kernel allocates nothing per target.
+#[derive(Debug, Clone, Default)]
+pub struct DrcBuffers {
+    migration: Vec<f64>,
+    bitstream: Vec<f64>,
+}
+
+impl DrcSources {
+    /// Packs `sources`, in order, for costing on `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source's length disagrees with the graph, or a PE or
+    /// implementation index does not fit 32 bits.
+    pub fn new<'m>(graph: &TaskGraph, sources: impl IntoIterator<Item = &'m Mapping>) -> Self {
+        let sources: Vec<&Mapping> = sources.into_iter().collect();
+        let n = sources.len();
+        let tasks = graph.num_tasks();
+        for from in &sources {
+            assert_eq!(from.len(), tasks, "`from` mapping length mismatch");
+        }
+        let mut keys = Vec::with_capacity(tasks * n);
+        let mut shared = Vec::with_capacity(tasks);
+        for t in 0..tasks {
+            let row = keys.len();
+            keys.extend(sources.iter().map(|from| placement_key(&from.genes()[t])));
+            let first = keys.get(row).copied();
+            shared.push(first.filter(|&k| keys[row..].iter().all(|&other| other == k)));
+        }
+        Self {
+            sources: n,
+            keys,
+            shared,
+        }
+    }
+
+    /// Number of source mappings.
+    pub fn len(&self) -> usize {
+        self.sources
+    }
+
+    /// `true` if the set holds no source mapping.
+    pub fn is_empty(&self) -> bool {
+        self.sources == 0
+    }
+
+    /// `reconfiguration_cost(from, to).total()` for every source `from`,
+    /// in source order, written into `buffers` and returned as a slice of
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to`'s length disagrees with the graph the sources were
+    /// packed for, or where [`reconfiguration_cost`] would panic on `to`.
+    pub fn totals<'b>(
+        &self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        to: &Mapping,
+        buffers: &'b mut DrcBuffers,
+    ) -> &'b [f64] {
+        let n = self.sources;
+        assert_eq!(to.len(), graph.num_tasks(), "`to` mapping length mismatch");
+        assert_eq!(
+            self.keys.len(),
+            to.len() * n,
+            "sources packed for another graph"
+        );
+        let DrcBuffers {
+            migration,
+            bitstream,
+        } = buffers;
+        migration.clear();
+        migration.resize(n, 0.0);
+        bitstream.clear();
+        bitstream.resize(n, 0.0);
+        if n == 0 {
+            return migration;
+        }
+        for ((t, keys), &shared) in graph
+            .task_ids()
+            .zip(self.keys.chunks_exact(n))
+            .zip(&self.shared)
+        {
+            let b = to.gene(t);
+            let key = placement_key(b);
+            if shared == Some(key) {
+                // No source moves this task: every sum would add +0.0.
+                // Databases whose points share a placement skip the
+                // terms and the adds altogether.
+                continue;
+            }
+            let terms = move_terms(graph, platform, t, b);
+            let (m, r) = (terms.migration_time, terms.bitstream_time);
+            // A select, not a multiply by a 0/1 mask: an infinite term on
+            // an unmoved task must add 0, not NaN.
+            for ((&k, mig), bit) in keys
+                .iter()
+                .zip(migration.iter_mut())
+                .zip(bitstream.iter_mut())
+            {
+                let moved = k != key;
+                *mig += if moved { m } else { 0.0 };
+                *bit += if moved { r } else { 0.0 };
+            }
+        }
+        for (mig, bit) in migration.iter_mut().zip(bitstream.iter()) {
+            *mig += *bit;
+        }
+        migration
+    }
 }
 
 #[cfg(test)]

@@ -1106,6 +1106,83 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn swap_to_another_applications_rollout_keeps_the_old_database_serving() {
+        // A well-formed, lineage-valid rollout of a 40-task application:
+        // its mappings do not fit the tenant's jpeg graph, so it cannot
+        // build a runtime context.
+        let dir = std::env::temp_dir().join("clr-serve-daemon-swap-foreign");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rollout = dir.join("tgff40-gen1.snap");
+        let graph = clr_taskgraph::TgffGenerator::new(clr_taskgraph::TgffConfig::with_tasks(40))
+            .generate(1);
+        let foreign = Mapping::first_fit(&graph, &Platform::dac19()).unwrap();
+        let mut db = DesignPointDb::new("tgff40");
+        for point in &small_db(12, 2.0) {
+            db.push(DesignPoint::new(
+                foreign.clone(),
+                point.metrics,
+                point.origin,
+            ));
+        }
+        let snapshot = crate::Snapshot::new("tgff:40:1", "dac19", db);
+        let lineage = crate::Lineage {
+            generation: 1,
+            parent: Some(0),
+            publisher: "roll".into(),
+            stamps: crate::compute_stamps(snapshot.db(), 1),
+        };
+        let wrapped = LineageSnapshot::from_parts(lineage, snapshot);
+        wrapped.verify().expect("the rollout is lineage-valid");
+        wrapped.write_file(&rollout).unwrap();
+
+        let tenants = fleet(1);
+        let trace = generate_trace(&tenants, 5, 2_000.0, 100.0);
+        let mut bytes = Vec::new();
+        let mid = trace.len() / 2;
+        for (i, event) in trace.events().iter().enumerate() {
+            if i == mid {
+                bytes.extend_from_slice(
+                    &Frame::SwapDb(SwapDbRequest {
+                        seq: 80_000,
+                        tenant: "t0".into(),
+                        expected_generation: None,
+                        path: rollout.to_string_lossy().into_owned(),
+                    })
+                    .to_bytes(),
+                );
+            }
+            bytes.extend_from_slice(
+                &Frame::Request(Request::from_event(i as u64 + 1, event)).to_bytes(),
+            );
+        }
+        bytes.extend_from_slice(&Frame::Shutdown.to_bytes());
+        let mut input = std::io::Cursor::new(bytes);
+        let mut output = Vec::new();
+        let report =
+            serve_stream(&tenants, &mut input, &mut output, &DaemonConfig::default()).unwrap();
+        assert!(report.clean_shutdown);
+        assert_eq!(report.served, trace.len());
+        let outcome = &report.outcomes[0];
+        assert_eq!(outcome.swaps.len(), 1);
+        assert_eq!(outcome.swaps[0].status, SwapStatus::VerifyFailed);
+        assert_eq!(outcome.generation, 0);
+        assert_eq!(outcome.points, 8);
+        assert_eq!(outcome.events, trace.len());
+        assert_eq!(outcome.quarantined, 0, "the old database kept serving");
+        assert!(outcome.failure.is_none());
+        let ack = decode_all(&output)
+            .into_iter()
+            .find_map(|f| match f {
+                Frame::SwapDbResponse(r) => Some(r),
+                _ => None,
+            })
+            .expect("the swap was answered");
+        assert_eq!(ack.status, SwapStatus::VerifyFailed);
+        assert_eq!(ack.generation, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn learn_fleet(n: usize) -> Vec<Tenant> {
         (0..n)
             .map(|i| {

@@ -31,6 +31,9 @@ mod trace;
 pub mod wire;
 
 pub use clr_chaos::{FaultKind, FaultPlan, FaultPlanError, FaultRates};
+/// The payload checksum of snapshots and wire frames (the workspace's one
+/// FNV-1a).
+pub use clr_learn::fnv1a64;
 pub use daemon::{serve_stream, Daemon, DaemonConfig, DaemonError, DaemonReport};
 pub use engine::{
     replay, DecisionRecord, LearnSummary, PromoteRecord, ReplayConfig, ReplayError, ReplayReport,
@@ -42,7 +45,7 @@ pub use health::{
 };
 pub use session::TenantSession;
 pub use snapshot::{
-    compute_stamps, fnv1a64, resolve_graph, resolve_platform, Lineage, LineageSnapshot, PointStamp,
+    compute_stamps, resolve_graph, resolve_platform, Lineage, LineageSnapshot, PointStamp,
     Snapshot, SnapshotError, FORMAT_VERSION, FORMAT_VERSION2, GENESIS_PUBLISHER, HEADER_LEN, MAGIC,
     MAGIC2,
 };

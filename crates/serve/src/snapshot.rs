@@ -37,6 +37,7 @@ use std::fmt;
 use std::path::Path;
 
 use clr_dse::{CodecError, DesignPointDb};
+use clr_learn::fnv1a64;
 use clr_platform::Platform;
 use clr_taskgraph::{jpeg_encoder, TaskGraph, TgffConfig, TgffGenerator};
 
@@ -54,18 +55,6 @@ pub const FORMAT_VERSION2: u32 = 2;
 
 /// Size of the fixed header preceding the payload.
 pub const HEADER_LEN: usize = 32;
-
-/// FNV-1a 64-bit hash — the integrity checksum of the payload. Not
-/// cryptographic; it guards against truncation and bit rot, while
-/// semantic validity is `clr-verify`'s job.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Why a snapshot failed to load or resolve.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -35,7 +35,9 @@
 use std::process::ExitCode;
 
 use clr_core::{ScenarioKind, ScenarioSuite};
-use clr_dse::{explore_based, DesignPointDb, DseConfig, ExplorationMode, QosSpec, RedConfig};
+use clr_dse::{
+    explore_based, explore_red, DesignPointDb, DseConfig, ExplorationMode, QosSpec, RedConfig,
+};
 use clr_moea::GaParams;
 use clr_platform::Platform;
 use clr_reliability::{ConfigSpace, FaultModel};
@@ -444,9 +446,17 @@ fn audit_snapshot_file(bytes: &[u8], path: &str) -> Report {
     check_snapshot(bytes, path)
 }
 
+/// A runtime context's dRC matrix as rows, for CLR037.
+fn drc_matrix(ctx: &RuntimeContext<'_>) -> Vec<Vec<f64>> {
+    (0..ctx.len())
+        .map(|i| (0..ctx.len()).map(|j| ctx.drc(i, j)).collect())
+        .collect()
+}
+
 /// End-to-end audit of the bundled artifacts: presets, TGFF generation,
-/// HEFT mapping/scheduling, a small BaseD exploration with its dRC
-/// matrix, the runtime policies and every scenario-suite instance.
+/// HEFT mapping/scheduling, a small BaseD exploration and the capped ReD
+/// grown from it with their dRC matrices, the runtime policies and every
+/// scenario-suite instance.
 fn audit_all() -> Report {
     let mut report = Report::new();
     let fm = FaultModel::default();
@@ -496,10 +506,27 @@ fn audit_all() -> Report {
         RedConfig::default().tolerance,
     ));
     let ctx = RuntimeContext::new(&jpeg, &dac19, &db);
-    let matrix: Vec<Vec<f64>> = (0..db.len())
-        .map(|i| (0..db.len()).map(|j| ctx.drc(i, j)).collect())
-        .collect();
-    report.merge(check_drc_matrix(&jpeg, &dac19, &db, &matrix));
+    report.merge(check_drc_matrix(&jpeg, &dac19, &db, &drc_matrix(&ctx)));
+    // The ReD grown from it under a cap of eight extras: the extras are
+    // the points ReD's dRC kernel ranked, and their matrix rows and
+    // columns are the ones only ReD has.
+    let red_config = RedConfig {
+        ga: GaParams::small(),
+        max_total: Some(db.len() + 8),
+        ..RedConfig::default()
+    };
+    let red = explore_red(
+        &jpeg,
+        &dac19,
+        fm,
+        ConfigSpace::fine(),
+        dse.mode,
+        &db,
+        &red_config,
+        7,
+    );
+    let red_ctx = RuntimeContext::new(&jpeg, &dac19, &red);
+    report.merge(check_drc_matrix(&jpeg, &dac19, &red, &drc_matrix(&red_ctx)));
 
     // Runtime policies: parameter ranges and the AuRA-subsumes-uRA law.
     report.merge(check_policy_params(0.5, 0.9, 0.1, "defaults"));

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example design_space_explorer`
 
 use hybrid_clr::prelude::*;
+use hybrid_clr::sched::{DrcBuffers, DrcSources};
 
 fn main() {
     let graph = TgffGenerator::new(TgffConfig::with_tasks(30)).generate(11);
@@ -34,13 +35,15 @@ fn main() {
         red.len() - based.len()
     );
 
-    let based_mappings: Vec<Mapping> = based.iter().map(|p| p.mapping.clone()).collect();
-    let avg_drc = |m: &Mapping| -> f64 {
-        based_mappings
+    // The same task-major dRC kernel ReD ranks its extras with.
+    let sources = DrcSources::new(&graph, based.iter().map(|p| &p.mapping));
+    let mut buffers = DrcBuffers::default();
+    let mut avg_drc = |m: &Mapping| -> f64 {
+        sources
+            .totals(&graph, &platform, m, &mut buffers)
             .iter()
-            .map(|from| reconfiguration_cost(&graph, &platform, from, m).total())
             .sum::<f64>()
-            / based_mappings.len() as f64
+            / sources.len() as f64
     };
 
     println!(
