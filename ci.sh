@@ -17,7 +17,11 @@
 #                                    checked byte for byte against {})
 #   4. clr-verify all              — cross-layer model audit of the bundled
 #                                    presets (platforms, generators, HEFT,
-#                                    a jpeg BaseD database, the dRC matrices
+#                                    a jpeg BaseD database whose stored
+#                                    metrics CLR036 re-evaluates, checking
+#                                    each task's looked-up Table-2 metrics
+#                                    bit for bit against a direct
+#                                    TaskMetrics::evaluate, the dRC matrices
 #                                    (CLR037) of that BaseD and of the ReD
 #                                    grown from it under a cap of eight
 #                                    extras, policies, scenario suite)

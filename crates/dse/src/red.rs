@@ -142,12 +142,11 @@ pub fn explore_red_with(
         threads: 1,
         ..config.ga
     };
+    // One problem, and so one task-metrics table, serves every seed.
+    let inner = ClrMappingProblem::new(graph, platform, fault_model, config_space, mode);
     let seed_points: Vec<&DesignPoint> = based.iter().collect();
     let (per_seed, pool) =
         clr_par::par_map_stats(config.ga.threads, &seed_points, |i, seed_point| {
-            let inner =
-                ClrMappingProblem::new(graph, platform, fault_model, config_space.clone(), mode);
-            let evaluator = inner.evaluator().clone();
             // The seed's stored metrics are its evaluation; no need to
             // schedule it again.
             let seed_objs = mode.objectives_of(&seed_point.metrics);
@@ -165,7 +164,7 @@ pub fn explore_red_with(
                 &mut drc_buffers,
             );
             let problem = RedProblem {
-                inner,
+                inner: &inner,
                 graph,
                 platform,
                 seed_mapping: seed_point.mapping.clone(),
@@ -192,7 +191,7 @@ pub fn explore_red_with(
                 .into_iter()
                 .take(config.max_extra_per_seed)
                 .map(|(mapping, _)| {
-                    let metrics = evaluator.evaluate(&mapping);
+                    let metrics = inner.evaluator().evaluate(&mapping);
                     DesignPoint::new(mapping, metrics, PointOrigin::ReconfigAware)
                 })
                 .collect::<Vec<DesignPoint>>();
@@ -296,7 +295,7 @@ pub(crate) fn average_drc(
 /// the average `dRC` to the Pareto set, constrained to the tolerance band
 /// around the seed point.
 struct RedProblem<'a> {
-    inner: ClrMappingProblem<'a>,
+    inner: &'a ClrMappingProblem<'a>,
     graph: &'a TaskGraph,
     platform: &'a Platform,
     seed_mapping: Mapping,

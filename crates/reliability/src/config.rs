@@ -51,6 +51,45 @@ impl ClrConfig {
     pub fn is_none(&self) -> bool {
         *self == Self::NONE
     }
+
+    /// Dense index of this configuration in the method catalogue
+    /// `HwMethod::ALL × SswMethod::COMMON × AswMethod::ALL`, in the order
+    /// [`ConfigSpace::fine`] enumerates it (so `fine().get(i)` has index
+    /// `i`); `None` for a system-software method off the catalogue, such
+    /// as `Retry { max_retries: 3 }`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use clr_reliability::{AswMethod, ClrConfig, ConfigSpace, HwMethod, SswMethod};
+    /// let fine = ConfigSpace::fine();
+    /// assert_eq!(fine.get(7).and_then(ClrConfig::catalogue_index), Some(7));
+    /// let off = ClrConfig::new(HwMethod::None, SswMethod::Retry { max_retries: 3 }, AswMethod::None);
+    /// assert_eq!(off.catalogue_index(), None);
+    /// ```
+    pub fn catalogue_index(&self) -> Option<usize> {
+        let hw = match self.hw {
+            HwMethod::None => 0,
+            HwMethod::Hardening => 1,
+            HwMethod::PartialTmr => 2,
+            HwMethod::FullTmr => 3,
+        };
+        let ssw = match self.ssw {
+            SswMethod::None => 0,
+            SswMethod::Retry { max_retries: 1 } => 1,
+            SswMethod::Retry { max_retries: 2 } => 2,
+            SswMethod::Checkpoint { intervals: 2 } => 3,
+            SswMethod::Checkpoint { intervals: 4 } => 4,
+            _ => return None,
+        };
+        let asw = match self.asw {
+            AswMethod::None => 0,
+            AswMethod::Checksum => 1,
+            AswMethod::HammingCorrection => 2,
+            AswMethod::CodeTripling => 3,
+        };
+        Some((hw * SswMethod::COMMON.len() + ssw) * AswMethod::ALL.len() + asw)
+    }
 }
 
 impl fmt::Display for ClrConfig {

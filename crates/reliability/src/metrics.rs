@@ -116,6 +116,20 @@ impl TaskMetrics {
     pub fn reliability(&self) -> f64 {
         1.0 - self.err_prob
     }
+
+    /// The raw bits of every field, in declaration order: two records are
+    /// the same computation's result exactly when these agree.
+    pub fn to_bits(&self) -> [u64; 6] {
+        [
+            self.min_ex_t,
+            self.avg_ex_t,
+            self.err_prob,
+            self.power_mw,
+            self.eta,
+            self.mttf,
+        ]
+        .map(f64::to_bits)
+    }
 }
 
 #[cfg(test)]

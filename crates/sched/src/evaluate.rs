@@ -1,7 +1,9 @@
 //! System-level QoS and performance estimation (paper Table 3).
 
+use std::sync::Arc;
+
 use clr_platform::Platform;
-use clr_reliability::{FaultModel, TaskMetrics};
+use clr_reliability::{AswMethod, ConfigSpace, FaultModel, HwMethod, SswMethod, TaskMetrics};
 use clr_taskgraph::{TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -35,12 +37,20 @@ impl SystemMetrics {
     }
 }
 
+/// Size of the CLR method catalogue `HwMethod::ALL × SswMethod::COMMON ×
+/// AswMethod::ALL` that [`clr_reliability::ClrConfig::catalogue_index`]
+/// numbers.
+const CATALOGUE: usize = HwMethod::ALL.len() * SswMethod::COMMON.len() * AswMethod::ALL.len();
+
 /// Evaluation context binding a task graph, a platform and a fault model.
 ///
-/// Pre-computes the task criticalities `ζ_t`; every call to
-/// [`Evaluator::evaluate`] derives the per-task Table-2 metrics for the
-/// mapping's implementation/CLR choices, list-schedules with the average
-/// execution times and aggregates Table 3.
+/// Pre-computes the task criticalities `ζ_t` and a lookup table of the
+/// Table-2 metrics of every task implementation on its target PE type
+/// under every configuration of the CLR method catalogue, filled by
+/// [`TaskMetrics::evaluate`] itself; every call to
+/// [`Evaluator::evaluate`] reads each task's metrics from it,
+/// list-schedules with the average execution times and aggregates
+/// Table 3.
 ///
 /// # Examples
 ///
@@ -63,17 +73,47 @@ pub struct Evaluator<'a> {
     platform: &'a Platform,
     fault_model: FaultModel,
     criticality: Vec<f64>,
+    /// Per task, the table row of its first implementation; implementation
+    /// `i` of task `t` owns row `rows[t] + i`.
+    rows: Vec<usize>,
+    /// Row-major `[row][catalogue index]` Table-2 metrics, shared by
+    /// clones.
+    table: Arc<[TaskMetrics]>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator for one `(graph, platform, environment)`.
+    /// Creates an evaluator for one `(graph, platform, environment)` and
+    /// fills its task-metrics table.
     pub fn new(graph: &'a TaskGraph, platform: &'a Platform, fault_model: FaultModel) -> Self {
         let criticality = graph.criticalities();
+        let catalogue = ConfigSpace::fine();
+        debug_assert_eq!(catalogue.len(), CATALOGUE);
+        let mut rows = Vec::with_capacity(graph.num_tasks());
+        let mut table = Vec::new();
+        for t in graph.task_ids() {
+            rows.push(table.len() / CATALOGUE);
+            for im in graph.implementations(t) {
+                match platform.pe_types().get(im.pe_type().index()) {
+                    Some(pe_type) => table.extend(
+                        catalogue
+                            .configs()
+                            .iter()
+                            .map(|cfg| TaskMetrics::evaluate(im, pe_type, cfg, &fault_model)),
+                    ),
+                    // The platform lacks the target type, so a gene can only
+                    // put this implementation on a PE of another type, which
+                    // never reads the table: the row is a placeholder.
+                    None => table.extend(std::iter::repeat_n(UNREAD, CATALOGUE)),
+                }
+            }
+        }
         Self {
             graph,
             platform,
             fault_model,
             criticality,
+            rows,
+            table: table.into(),
         }
     }
 
@@ -97,7 +137,11 @@ impl<'a> Evaluator<'a> {
         &self.criticality
     }
 
-    /// Table-2 metrics of task `t` under `mapping`'s choices.
+    /// Table-2 metrics of task `t` under `mapping`'s choices: bit for bit
+    /// [`TaskMetrics::evaluate`] of the gene's implementation on its PE's
+    /// type. Read from the table; computed afresh for a configuration off
+    /// the catalogue or a PE whose type is not the implementation's
+    /// target type.
     ///
     /// # Panics
     ///
@@ -105,8 +149,19 @@ impl<'a> Evaluator<'a> {
     pub fn task_metrics(&self, mapping: &Mapping, t: TaskId) -> TaskMetrics {
         let gene = mapping.gene(t);
         let im = self.graph.implementation(t, gene.impl_id);
-        let pe_type = self.platform.type_of(gene.pe);
-        TaskMetrics::evaluate(im, pe_type, &gene.clr, &self.fault_model)
+        let pe_type = self.platform.pe(gene.pe).type_id();
+        if pe_type == im.pe_type() {
+            if let Some(c) = gene.clr.catalogue_index() {
+                let row = self.rows[t.index()] + gene.impl_id.index();
+                return self.table[row * CATALOGUE + c];
+            }
+        }
+        TaskMetrics::evaluate(
+            im,
+            self.platform.pe_type(pe_type),
+            &gene.clr,
+            &self.fault_model,
+        )
     }
 
     /// Evaluates the full Table-3 system metrics of a mapping.
@@ -116,9 +171,7 @@ impl<'a> Evaluator<'a> {
     /// Panics if the mapping is invalid for the bound graph/platform
     /// (validate first; the DSE only generates valid mappings).
     pub fn evaluate(&self, mapping: &Mapping) -> SystemMetrics {
-        let (metrics, schedule) = self.evaluate_with_schedule(mapping);
-        let _ = schedule;
-        metrics
+        self.evaluate_with_schedule(mapping).0
     }
 
     /// Like [`Evaluator::evaluate`] but also exposes the schedule (useful
@@ -161,6 +214,16 @@ impl<'a> Evaluator<'a> {
     }
 }
 
+/// The placeholder of a table row no lookup reads.
+const UNREAD: TaskMetrics = TaskMetrics {
+    min_ex_t: f64::NAN,
+    avg_ex_t: f64::NAN,
+    err_prob: f64::NAN,
+    power_mw: f64::NAN,
+    eta: f64::NAN,
+    mttf: f64::NAN,
+};
+
 /// Peak instantaneous power: the maximum over time of the summed power of
 /// concurrently executing tasks (Eq. 3's `W_app`), computed by sweeping
 /// task start/end events.
@@ -172,8 +235,9 @@ fn peak_power(schedule: &Schedule, metrics: &[TaskMetrics]) -> f64 {
         events.push((e.end, -w));
     }
     // Ends before starts at the same instant so touching intervals do not
-    // double-count.
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    // double-count. Events equal under this order are equal bit for bit,
+    // so the unstable sort sums them in the same sequence as a stable one.
+    events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut current = 0.0f64;
     let mut peak = 0.0f64;
     for (_, dw) in events {
@@ -188,9 +252,9 @@ fn peak_power(schedule: &Schedule, metrics: &[TaskMetrics]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clr_platform::PeId;
+    use clr_platform::{PeId, PeTypeId};
     use clr_reliability::{AswMethod, ClrConfig, HwMethod, SswMethod};
-    use clr_taskgraph::jpeg_encoder;
+    use clr_taskgraph::{jpeg_encoder, ImplId, SwStack};
 
     fn setup() -> (TaskGraph, Platform) {
         (jpeg_encoder(), Platform::dac19())
@@ -273,6 +337,36 @@ mod tests {
             let sm2 = eval.evaluate(&spread);
             assert!(sm2.makespan <= sm.makespan + 1e-9);
         }
+    }
+
+    #[test]
+    fn an_implementation_for_a_missing_pe_type_is_computed_afresh() {
+        // Each task also has an implementation for PE type 5, which the
+        // one-type tiny platform lacks.
+        let mut b = clr_taskgraph::TaskGraphBuilder::new("two-types", 100.0);
+        for i in 0..2 {
+            b.task(format!("t{i}"))
+                .implementation(PeTypeId::new(5), SwStack::Rtos, 30.0)
+                .implementation(PeTypeId::new(0), SwStack::Rtos, 40.0);
+        }
+        b.edge(0.into(), 1.into(), 2.0, 4.0);
+        let g = b.build().unwrap();
+        let p = Platform::tiny();
+        let fm = FaultModel::new(2e-3, 1e6, 1.0);
+        let eval = Evaluator::new(&g, &p, fm);
+        let mut m = Mapping::first_fit(&g, &p).unwrap();
+        m.genes_mut()[0].impl_id = ImplId::new(0);
+        for t in g.task_ids() {
+            let gene = m.gene(t);
+            let direct = TaskMetrics::evaluate(
+                g.implementation(t, gene.impl_id),
+                p.type_of(gene.pe),
+                &gene.clr,
+                &fm,
+            );
+            assert_eq!(eval.task_metrics(&m, t).to_bits(), direct.to_bits());
+        }
+        assert!(eval.evaluate(&m).makespan.is_finite());
     }
 
     #[test]

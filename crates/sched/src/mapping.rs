@@ -150,16 +150,26 @@ impl Mapping {
     /// PE share one binary.
     pub fn memory_footprint(&self, graph: &TaskGraph, platform: &Platform) -> Vec<u64> {
         let mut footprint = vec![0u64; platform.num_pes()];
-        let mut seen: Vec<(usize, usize, usize)> = Vec::new(); // (pe, task type, impl)
-        for (t, g) in self.genes.iter().enumerate() {
-            let task = graph.task(TaskId::new(t));
-            let key = (g.pe.index(), task.type_id().index(), g.impl_id.index());
-            if seen.contains(&key) {
+        // (pe, task type, impl, task), sorted: each key's group starts at
+        // its first task in task order, which supplies the binary.
+        let mut keys: Vec<(usize, usize, usize, usize)> = self
+            .genes
+            .iter()
+            .enumerate()
+            .map(|(t, g)| {
+                let ty = graph.task(TaskId::new(t)).type_id().index();
+                (g.pe.index(), ty, g.impl_id.index(), t)
+            })
+            .collect();
+        keys.sort_unstable();
+        let mut previous = None;
+        for (pe, ty, impl_index, t) in keys {
+            if previous == Some((pe, ty, impl_index)) {
                 continue;
             }
-            seen.push(key);
-            let im = graph.implementation(TaskId::new(t), g.impl_id);
-            footprint[g.pe.index()] += im.binary_kib() as u64;
+            previous = Some((pe, ty, impl_index));
+            let im = graph.implementation(TaskId::new(t), self.genes[t].impl_id);
+            footprint[pe] += im.binary_kib() as u64;
         }
         footprint
     }
@@ -177,7 +187,9 @@ impl Mapping {
 mod tests {
     use super::*;
     use clr_platform::{PeKind, PeType, PeTypeId};
-    use clr_taskgraph::{jpeg_encoder, SwStack, TaskGraphBuilder};
+    use clr_taskgraph::{
+        jpeg_encoder, ImplId, Implementation, SwStack, TaskGraphBuilder, TaskTypeId,
+    };
 
     fn tiny_graph() -> TaskGraph {
         let mut b = TaskGraphBuilder::new("t", 100.0);
@@ -267,6 +279,26 @@ mod tests {
             .map(|t| g.implementation(t, m.gene(t).impl_id).binary_kib() as u64)
             .sum();
         assert_eq!(fp[target.index()], single + others);
+    }
+
+    #[test]
+    fn the_first_task_of_a_shared_key_supplies_its_binary() {
+        // Three tasks of one type whose first implementations differ in
+        // size, listed out of size order; all share one PE.
+        let mut b = TaskGraphBuilder::new("shared", 100.0);
+        for kib in [48, 16, 80] {
+            let im = Implementation::new(ImplId::new(0), PeTypeId::new(0), SwStack::Rtos, 10.0)
+                .with_binary_kib(kib);
+            b.task_with_type(format!("t{kib}"), TaskTypeId::new(0))
+                .implementation_full(im);
+        }
+        let g = b.build().unwrap();
+        let p = Platform::tiny();
+        let mut m = Mapping::first_fit(&g, &p).unwrap();
+        assert_eq!(m.memory_footprint(&g, &p)[0], 48);
+        // Task 0 moves away: task 1 is now the first on PE 0.
+        m.genes_mut()[0].pe = PeId::new(1);
+        assert_eq!(m.memory_footprint(&g, &p), vec![16, 48]);
     }
 
     #[test]

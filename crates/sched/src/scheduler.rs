@@ -105,7 +105,6 @@ pub fn list_schedule(graph: &TaskGraph, mapping: &Mapping, exec_time: &[f64]) ->
         .collect();
     // data_ready[t]: all predecessor outputs (incl. comm) available.
     let mut data_ready = vec![0.0f64; n];
-    let mut done = vec![false; n];
     let mut entries: Vec<ScheduleEntry> = (0..n)
         .map(|t| ScheduleEntry {
             task: TaskId::new(t),
@@ -136,7 +135,6 @@ pub fn list_schedule(graph: &TaskGraph, mapping: &Mapping, exec_time: &[f64]) ->
         pe_free[pe] = end;
         entries[t].start = start;
         entries[t].end = end;
-        done[t] = true;
         scheduled += 1;
 
         for e in graph.out_edges(TaskId::new(t)) {

@@ -3,7 +3,7 @@
 use clr_dse::{DesignPointDb, ExplorationMode, PointOrigin};
 use clr_moea::dominates;
 use clr_platform::Platform;
-use clr_reliability::FaultModel;
+use clr_reliability::{FaultModel, TaskMetrics};
 use clr_sched::{reconfiguration_cost, Evaluator};
 use clr_stats::{approx_eq_probability, approx_eq_time, EPS_TIME};
 use clr_taskgraph::TaskGraph;
@@ -41,9 +41,34 @@ pub fn check_database(
     }
 
     // CLR036: stored metrics must match a fresh evaluation of the mapping.
+    // The evaluator reads each task's Table-2 metrics from a table it
+    // fills once, so each task's looked-up metrics are also checked bit
+    // for bit against the cost model itself: a wrong table would
+    // otherwise agree with the metrics it produced.
     if mappings_valid {
         let eval = Evaluator::new(graph, platform, *fault_model);
         for (i, p) in db.iter().enumerate() {
+            let off_model = graph.task_ids().find(|&t| {
+                let gene = p.mapping.gene(t);
+                let direct = TaskMetrics::evaluate(
+                    graph.implementation(t, gene.impl_id),
+                    platform.type_of(gene.pe),
+                    &gene.clr,
+                    fault_model,
+                );
+                eval.task_metrics(&p.mapping, t).to_bits() != direct.to_bits()
+            });
+            if let Some(t) = off_model {
+                report.push(Diagnostic::new(
+                    LintCode::StaleMetrics,
+                    &artifact,
+                    format!("point {i}"),
+                    format!(
+                        "the evaluator's Table-2 metrics of task {t} differ from \
+                         TaskMetrics::evaluate"
+                    ),
+                ));
+            }
             let fresh = eval.evaluate(&p.mapping);
             let consistent = approx_eq_time(fresh.makespan, p.metrics.makespan)
                 && approx_eq_probability(fresh.reliability, p.metrics.reliability)
